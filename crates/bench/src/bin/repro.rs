@@ -8,9 +8,10 @@ use sassi_bench::exec::{default_jobs, Timing};
 use sassi_bench::{campaigns, hotloop as hotloop_cmp, save_json};
 use sassi_studies::report;
 
-const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|ablation-stub|ablation-spill|hotloop|all]
+const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|fig10-site WORKLOAD SITE [SEED]|ablation-stub|ablation-spill|hotloop|all]
   --jobs N     worker threads per sweep (default: SASSI_JOBS or available parallelism)
   fig10 runs   injections per workload (positive integer, default 150)
+  fig10-site   rerun one Figure 10 injection alone (site index in the workload's plan; SEED defaults to the fig10 campaign seed)
   hotloop      decoded (serial + CTA-parallel) vs reference comparison -> results/timings/sim_hot_loop.json";
 
 fn usage_exit(msg: &str) -> ! {
@@ -96,8 +97,23 @@ fn report_timing(name: &str, timing: &Timing) {
     save_json(&format!("timings/{name}"), timing);
 }
 
+/// Parses `fig10-site WORKLOAD SITE [SEED]`.
+fn fig10_site_args(cli: &Cli) -> (String, usize, u64) {
+    let number = |s: &String| {
+        s.parse::<u64>()
+            .unwrap_or_else(|_| usage_exit(&format!("invalid number `{s}`")))
+    };
+    match cli.rest.as_slice() {
+        [w, site] => (w.clone(), number(site) as usize, campaigns::FIG10_SEED),
+        [w, site, seed] => (w.clone(), number(site) as usize, number(seed)),
+        _ => usage_exit("`fig10-site` takes WORKLOAD SITE [SEED]"),
+    }
+}
+
 fn main() {
     let cli = parse_cli();
+    // Sweeps that contained a failing unit; reported, then exit 1.
+    let mut failed = false;
     match cli.cmd.as_str() {
         "table1" => {
             no_args(&cli);
@@ -125,7 +141,15 @@ fn main() {
         }
         "fig10" => {
             let runs = fig10_runs(&cli);
-            fig10(runs, cli.jobs);
+            failed |= !fig10(runs, cli.jobs);
+        }
+        "fig10-site" => {
+            let (workload, site, seed) = fig10_site_args(&cli);
+            if sassi_workloads::by_name(&workload).is_none() {
+                usage_exit(&format!("unknown workload `{workload}`"));
+            }
+            let outcome = campaigns::fig10_site(&workload, site, seed);
+            println!("{workload} site {site} (campaign seed {seed}): {outcome:?}");
         }
         "ablation-stub" => {
             no_args(&cli);
@@ -147,11 +171,14 @@ fn main() {
             fig8(cli.jobs);
             table2(cli.jobs);
             table3(cli.jobs);
-            fig10(150, cli.jobs);
+            failed |= !fig10(150, cli.jobs);
             ablation_stub(cli.jobs);
             ablation_spill(cli.jobs);
         }
         other => usage_exit(&format!("unknown experiment `{other}`")),
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -216,11 +243,33 @@ fn table3(jobs: usize) {
     report_timing("table3", &timing);
 }
 
-fn fig10(runs: usize, jobs: usize) {
-    let (campaigns, timing) = campaigns::fig10(runs, campaigns::FIG10_SEED, jobs);
+/// Runs the Figure 10 sweep; returns `false` if any injection
+/// panicked. The sweep still finishes, but its tallies are then short
+/// of those injections, so `results/fig10.json` is left untouched and
+/// each failure is printed with the command that reruns it alone.
+fn fig10(runs: usize, jobs: usize) -> bool {
+    let (campaigns, timing, failures) = campaigns::fig10(runs, campaigns::FIG10_SEED, jobs);
     println!("{}", report::figure10(&campaigns));
-    save_json("fig10", &campaigns);
     report_timing("fig10", &timing);
+    if failures.is_empty() {
+        save_json("fig10", &campaigns);
+        return true;
+    }
+    eprintln!(
+        "[fig10] {} injection(s) panicked; results/fig10.json not written",
+        failures.len()
+    );
+    for f in &failures {
+        eprintln!(
+            "[fig10] {} site {} (site seed {:#x}): {}\n  reproduce: {}",
+            f.workload,
+            f.site_index,
+            f.site_seed,
+            f.message,
+            f.repro_command()
+        );
+    }
+    false
 }
 
 fn ablation_stub(jobs: usize) {

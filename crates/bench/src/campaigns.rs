@@ -7,7 +7,7 @@
 //! determinism tests both call these functions, so "what the CLI does"
 //! and "what the tests assert" cannot drift apart.
 
-use crate::exec::{run_units, split_jobs, Timing, WorkloadCache};
+use crate::exec::{run_units, run_units_contained, split_jobs, Timing, WorkloadCache};
 use sassi_studies::inject::{self, InjectionCampaign, InjectionSite};
 use sassi_studies::{branch, memdiv, overhead, value};
 use sassi_workloads::{fig10_set, fig7_set, table1_set, table2_set, table3_set, Workload};
@@ -98,6 +98,44 @@ pub fn table3(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
     })
 }
 
+/// A Figure 10 injection that panicked instead of ending in an
+/// outcome. The sweep contains the panic, finishes every other
+/// injection, and reports these so the caller can fail afterwards.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FailedInjection {
+    /// Workload display name.
+    pub workload: String,
+    /// Index of the site in the workload's campaign plan.
+    pub site_index: usize,
+    /// The campaign seed the plan was drawn with.
+    pub campaign_seed: u64,
+    /// The site's own seed (destination register and bit).
+    pub site_seed: u64,
+    /// The panic message.
+    pub message: String,
+}
+
+impl FailedInjection {
+    /// The `repro` command that reruns exactly this injection.
+    pub fn repro_command(&self) -> String {
+        format!(
+            "repro fig10-site '{}' {} {}",
+            self.workload, self.site_index, self.campaign_seed
+        )
+    }
+}
+
+/// Runs the `site_index`-th injection of `workload`'s campaign under
+/// `campaign_seed` on its own, exactly as the Figure 10 sweep runs it
+/// (site lists are prefix-stable, so planning `site_index + 1` sites
+/// draws the same site). Panics propagate.
+pub fn fig10_site(workload: &str, site_index: usize, campaign_seed: u64) -> inject::Outcome {
+    let mut cache = WorkloadCache::default();
+    let w = cache.get(workload);
+    let plan = inject::plan_campaign(w, site_index + 1, campaign_seed);
+    inject::run_one(w, plan.sites[site_index], plan.watchdog)
+}
+
 /// Figure 10: error-injection campaigns over `names`, `runs`
 /// injections per workload.
 ///
@@ -106,12 +144,15 @@ pub fn table3(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
 /// workload and site index), then one unit per *injection*. Outcomes
 /// are tallied back per workload in site order, so the merged
 /// campaigns are bit-identical to a serial run regardless of `jobs`.
+///
+/// A panicking injection does not stop the sweep: it is left out of
+/// its workload's tally and returned as a [`FailedInjection`].
 pub fn fig10_named(
     names: &[String],
     runs: usize,
     seed: u64,
     jobs: usize,
-) -> (Vec<InjectionCampaign>, Timing) {
+) -> (Vec<InjectionCampaign>, Timing, Vec<FailedInjection>) {
     let (plans, mut timing) = run_units(
         jobs,
         names,
@@ -122,37 +163,55 @@ pub fn fig10_named(
         },
     );
 
-    // One unit per injection: (workload index, site).
-    let units: Vec<(usize, InjectionSite)> = plans
+    // One unit per injection: (workload index, site index, site).
+    let units: Vec<(usize, usize, InjectionSite)> = plans
         .iter()
         .enumerate()
-        .flat_map(|(wi, p)| p.sites.iter().map(move |&s| (wi, s)))
+        .flat_map(|(wi, p)| p.sites.iter().enumerate().map(move |(k, &s)| (wi, k, s)))
         .collect();
-    let (outcomes, inject_timing) = run_units(
+    let (outcomes, inject_timing) = run_units_contained(
         jobs,
         &units,
         WorkloadCache::default,
-        |cache, &(wi, site), _| inject::run_one(cache.get(&names[wi]), site, plans[wi].watchdog),
+        |cache, &(wi, _, site), _| inject::run_one(cache.get(&names[wi]), site, plans[wi].watchdog),
     );
     timing.merge(&inject_timing);
 
     // Units were flattened in workload order, so outcomes regroup by
     // contiguous runs of the same workload index.
     let mut campaigns = Vec::with_capacity(names.len());
+    let mut failed = Vec::new();
     let mut cursor = 0;
     for (wi, plan) in plans.iter().enumerate() {
         let n = plan.sites.len();
-        campaigns.push(inject::tally(
-            names[wi].clone(),
-            &outcomes[cursor..cursor + n],
-        ));
+        let mut ok = Vec::with_capacity(n);
+        for (&(_, k, site), outcome) in units[cursor..cursor + n]
+            .iter()
+            .zip(&outcomes[cursor..cursor + n])
+        {
+            match outcome {
+                Ok(o) => ok.push(*o),
+                Err(message) => failed.push(FailedInjection {
+                    workload: names[wi].clone(),
+                    site_index: k,
+                    campaign_seed: seed,
+                    site_seed: site.seed,
+                    message: message.clone(),
+                }),
+            }
+        }
+        campaigns.push(inject::tally(names[wi].clone(), &ok));
         cursor += n;
     }
-    (campaigns, timing)
+    (campaigns, timing, failed)
 }
 
 /// Figure 10 over the paper's benchmark set.
-pub fn fig10(runs: usize, seed: u64, jobs: usize) -> (Vec<InjectionCampaign>, Timing) {
+pub fn fig10(
+    runs: usize,
+    seed: u64,
+    jobs: usize,
+) -> (Vec<InjectionCampaign>, Timing, Vec<FailedInjection>) {
     let names = set_names(fig10_set());
     fig10_named(&names, runs, seed, jobs)
 }

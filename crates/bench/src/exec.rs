@@ -205,9 +205,75 @@ where
     (results, timing)
 }
 
+/// [`run_units`] with every unit's panic contained: a unit that panics
+/// yields `Err(message)` instead of unwinding through the pool, its
+/// worker rebuilds its state with `init` and claims the next unit, and
+/// every other unit still runs. One bad unit therefore cannot abort a
+/// sweep that has been running for an hour.
+pub fn run_units_contained<U, T, S, I, F>(
+    jobs: usize,
+    units: &[U],
+    init: I,
+    run: F,
+) -> (Vec<Result<T, String>>, Timing)
+where
+    U: Sync,
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &U, usize) -> T + Sync,
+{
+    run_units(
+        jobs,
+        units,
+        || None,
+        |state: &mut Option<S>, unit, i| {
+            let s = state.get_or_insert_with(&init);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(s, unit, i))).map_err(
+                |payload| {
+                    *state = None;
+                    match payload.downcast::<String>() {
+                        Ok(msg) => *msg,
+                        Err(payload) => payload
+                            .downcast_ref::<&str>()
+                            .map_or_else(|| "non-string panic payload".into(), |m| m.to_string()),
+                    }
+                },
+            )
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_unit_does_not_abort_its_siblings() {
+        let units: Vec<u32> = (0..12).collect();
+        for jobs in [1, 3] {
+            let (out, timing) = run_units_contained(
+                jobs,
+                &units,
+                || 0u32,
+                |seen, &u, _| {
+                    *seen += 1;
+                    assert!(u % 5 != 3, "unit {u} failed");
+                    u * 10
+                },
+            );
+            assert_eq!(timing.units, 12);
+            for (u, r) in units.iter().zip(&out) {
+                match r {
+                    Ok(v) => assert_eq!(*v, u * 10),
+                    Err(msg) => {
+                        assert_eq!(u % 5, 3);
+                        assert_eq!(msg, &format!("unit {u} failed"));
+                    }
+                }
+            }
+            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
+        }
+    }
 
     #[test]
     fn split_jobs_is_deterministic_and_never_oversubscribes() {

@@ -18,8 +18,9 @@ fn json<T: Serialize>(v: &T) -> String {
 #[test]
 fn injection_campaign_is_identical_across_job_counts() {
     let names = vec![String::from("nn")];
-    let (serial, t1) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 1);
-    let (parallel, t4) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 4);
+    let (serial, t1, f1) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 1);
+    let (parallel, t4, f4) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 4);
+    assert!(f1.is_empty() && f4.is_empty(), "{f1:?} {f4:?}");
     assert_eq!(json(&serial), json(&parallel));
     // Two engine passes per campaign: planning (1 unit) + injections (8).
     assert_eq!(t1.units, 9);

@@ -30,6 +30,7 @@
 //! The original `Instr` array stays on the [`Module`] solely for
 //! traps, disassembly and error reporting.
 
+use crate::fuse::{self, Trampoline};
 use crate::module::Module;
 use crate::stats::{FaultKind, IssueClass};
 use sassi_isa::{
@@ -143,6 +144,14 @@ pub enum UOp {
     Trap {
         handler: u32,
         site: u32,
+    },
+    /// A fused trampoline window (see `fuse.rs`): replaces the window's
+    /// stack push, and `idx` indexes the module's trampoline table. The
+    /// block-stepped interpreter runs the whole window push-to-pop in
+    /// one step; everywhere else this executes as the push it replaced,
+    /// and the window's remaining µops follow unchanged.
+    Tramp {
+        idx: u32,
     },
     Ret,
     BarSync,
@@ -379,7 +388,8 @@ pub struct TrapSite {
     /// stores before the call plus the spill-flagged loads after it,
     /// bounded by the trampoline's own stack push/pop so surrounding
     /// program spills are not miscounted. Hand-written `JCAL handlerN`
-    /// sites without an enclosing trampoline frame count 0.
+    /// sites without an enclosing trampoline frame count 0. Comes from
+    /// the same window scan that finds the site's fused trampoline.
     pub save_restore: u32,
 }
 
@@ -454,6 +464,9 @@ pub struct DecodedModule {
     /// (`ATOM` with a live destination, or any CAS/EXCH). See
     /// [`DecodedModule::has_consuming_global_atomics`].
     consuming_global_atomics: bool,
+    /// Fused trampoline windows in ascending site order;
+    /// `UOp::Tramp::idx` indexes this.
+    trampolines: Vec<Trampoline>,
 }
 
 impl DecodedModule {
@@ -465,16 +478,19 @@ impl DecodedModule {
         let mut code = Vec::with_capacity(n);
         let mut trap_bits = vec![0u64; n.div_ceil(64)];
         let mut sites = Vec::new();
+        let mut windows = Vec::new();
         let mut consuming_global_atomics = false;
         for (pc, ins) in module.code.iter().enumerate() {
             let mut di = decode_instr(ins, n as u32);
             if let UOp::Trap { handler, site } = &mut di.uop {
                 *site = sites.len() as u32;
+                let window = fuse::window_at(&module.code, pc);
                 sites.push(TrapSite {
                     pc: pc as u32,
                     handler: *handler,
-                    save_restore: save_restore_at(&module.code, pc),
+                    save_restore: window.map_or(0, |w| w.save_restore),
                 });
+                windows.extend(window.map(|w| (pc, w)));
                 trap_bits[pc / 64] |= 1 << (pc % 64);
             }
             if let UOp::Atom { d, op, addr, .. } = di.uop {
@@ -486,6 +502,21 @@ impl DecodedModule {
             code.push(di);
         }
         let (blocks, block_idx) = build_blocks(&code);
+        // Fuse every window that lies in one block and compiles; its
+        // push becomes the macro-µop (block boundaries are unaffected:
+        // neither the push nor `Tramp` ends a block).
+        let mut trampolines = Vec::new();
+        for (trap_pc, w) in windows {
+            if block_idx[w.push] != block_idx[w.pop] {
+                continue;
+            }
+            if let Some(t) = fuse::compile(&code, w, trap_pc) {
+                code[w.push].uop = UOp::Tramp {
+                    idx: trampolines.len() as u32,
+                };
+                trampolines.push(t);
+            }
+        }
         DecodedModule {
             code,
             trap_bits,
@@ -493,7 +524,39 @@ impl DecodedModule {
             blocks,
             block_idx,
             consuming_global_atomics,
+            trampolines,
         }
+    }
+
+    /// The fused trampoline `idx` (the payload of `UOp::Tramp`).
+    #[inline(always)]
+    pub(crate) fn trampoline(&self, idx: u32) -> &Trampoline {
+        &self.trampolines[idx as usize]
+    }
+
+    /// The fused trampoline whose push sits at `pc`, if any.
+    #[cfg(test)]
+    pub(crate) fn trampoline_at(&self, pc: u32) -> Option<&Trampoline> {
+        match self.get(pc)?.uop {
+            UOp::Tramp { idx } => Some(self.trampoline(idx)),
+            _ => None,
+        }
+    }
+
+    /// Whether trap site `site` (an index into [`DecodedModule::sites`])
+    /// sits in a fused trampoline window, which the block-stepped
+    /// interpreter runs as one macro-µop. Sites whose window falls
+    /// outside the shape the SASSI pass emits — or that have no
+    /// enclosing stack frame at all — run µop by µop.
+    pub fn is_fused(&self, site: u32) -> bool {
+        self.trampolines
+            .binary_search_by_key(&site, |t| t.site)
+            .is_ok()
+    }
+
+    /// Number of fused trampoline windows in the module.
+    pub fn fused_count(&self) -> u32 {
+        self.trampolines.len() as u32
     }
 
     /// Whether the module contains a global (or generic) atomic whose
@@ -618,50 +681,6 @@ fn build_blocks(code: &[DecodedInstr]) -> (Vec<BasicBlock>, Vec<u32>) {
         }
     }
     (blocks, block_idx)
-}
-
-/// Counts the trampoline save/restore instructions around the trap at
-/// `pc`: spill-flagged stores between the trampoline's stack push
-/// (`IADD SP, SP, -frame`) and the call, plus spill-flagged loads
-/// between the call and the stack pop. Scans are bounded by the
-/// enclosing push/pop (and by any other call), so register-allocator
-/// spills elsewhere in the function are never attributed to the site;
-/// a `JCAL handlerN` with no enclosing frame counts 0.
-fn save_restore_at(code: &[Instr], pc: usize) -> u32 {
-    let sp_adjust = |op: &Op, downward: bool| {
-        matches!(op, Op::IAdd { d, a, b: Src::Imm(v), .. }
-            if *d == Gpr::SP && *a == Gpr::SP && ((*v as i32) < 0) == downward)
-    };
-    let mut saves = 0u32;
-    let mut pushed = false;
-    for ins in code[..pc].iter().rev() {
-        if sp_adjust(&ins.op, true) {
-            pushed = true;
-            break;
-        }
-        if matches!(ins.op, Op::Jcal { .. }) {
-            break;
-        }
-        if matches!(ins.op, Op::St { spill: true, .. }) {
-            saves += 1;
-        }
-    }
-    if !pushed {
-        return 0;
-    }
-    let mut fills = 0u32;
-    for ins in &code[pc + 1..] {
-        if sp_adjust(&ins.op, false) {
-            return saves + fills;
-        }
-        if matches!(ins.op, Op::Jcal { .. }) {
-            break;
-        }
-        if matches!(ins.op, Op::Ld { spill: true, .. }) {
-            fills += 1;
-        }
-    }
-    0
 }
 
 /// Lowers a branch-style target: `code_len` is the exclusive upper

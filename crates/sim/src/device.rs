@@ -31,7 +31,8 @@
 //! parallelize fine.
 
 use crate::config::{GpuConfig, LaunchDims};
-use crate::decode::{DSrc, DecodedModule, UOp, GUARD_ALWAYS};
+use crate::decode::{DSrc, DecodedInstr, DecodedModule, UOp, GUARD_ALWAYS};
+use crate::fuse::Trampoline;
 use crate::module::{LinkedFunction, Module};
 use crate::stats::{FaultInfo, FaultKind, KernelOutcome, LaunchResult, LaunchStats};
 use crate::trap::{HandlerRuntime, TrapCtx, TrapRef};
@@ -718,6 +719,36 @@ impl Exec<'_> {
                 self.cycle = cycle;
             }
             let pc = self.warps[wi].pc;
+            let dm: &DecodedModule = self.decoded;
+            if let Some(&DecodedInstr {
+                uop: UOp::Tramp { idx },
+                class,
+                lat,
+                ..
+            }) = dm.get(pc)
+            {
+                let t = dm.trampoline(idx);
+                if t.pre_fits(&self.warps[wi]) {
+                    if self.run_trampoline(wi, t, end, &mut block_ready) {
+                        continue;
+                    }
+                    break;
+                }
+                // Some lane's frame would leave its slab: the push runs
+                // like any straight-line µop and the window follows µop
+                // by µop, faulting precisely (the push never ends its
+                // block, so the run continues).
+                let w = &mut self.warps[wi];
+                let mask = w.active;
+                Self::exec_alu(self.cbank, w, &t.push, mask);
+                w.pc += 1;
+                self.stats.warp_instrs += 1;
+                self.stats.thread_instrs += mask.count_ones() as u64;
+                self.stats.issue.bump(class);
+                block_ready = block_ready.max(self.cycle + (lat as u64).max(1));
+                self.cycle += 1;
+                continue;
+            }
             // On a fault the warp's pc still names the faulting µop
             // and earlier µops' cycles are already charged — precise
             // resume needs no boundary at fault-capable µops.
@@ -737,6 +768,101 @@ impl Exec<'_> {
         let w = &mut self.warps[wi];
         w.ready_at = block_ready.max(w.ready_at);
         Ok(())
+    }
+
+    /// Runs the fused trampoline `t` whose push sits at warp `wi`'s pc
+    /// (the caller has checked [`Trampoline::pre_fits`]): the pre-part
+    /// lane by lane, the handler exactly as a `Trap` µop dispatches it,
+    /// then the post-part lane by lane. Charges what the window's µops
+    /// charge under block stepping — one cycle and one issue each, and
+    /// the same `ready_at` and block-ready contributions — and returns
+    /// whether the block run continues after the window.
+    ///
+    /// If the post-part's frame check fails (a handler corrupted R1)
+    /// or the handler stopped the warp, the warp resumes at the µop
+    /// after the trap on the ordinary path, as unfused execution does.
+    fn run_trampoline(
+        &mut self,
+        wi: usize,
+        t: &Trampoline,
+        end: u32,
+        block_ready: &mut u64,
+    ) -> bool {
+        // Local loads and stores all take the L1 latency (2 cycles
+        // when no lane is active), exactly as `mem_latency` charges.
+        let l1 = self.hier.local_latency();
+        let mem_lat = |active: LaneMask| if active != 0 { l1.max(2) } else { 2 };
+        let c0 = self.cycle;
+        let w = &mut self.warps[wi];
+        let trap_pc = w.pc + t.n_pre;
+        let active = w.active;
+        t.run_pre(w, self.cbank);
+        let mut ready = c0 + t.pre_alu_ready as u64;
+        if let Some(k) = t.pre_mem_last {
+            w.ready_at = c0 + k as u64 + mem_lat(active);
+            ready = ready.max(w.ready_at);
+        }
+        w.pc = trap_pc;
+        let n = t.n_pre as u64 + 1;
+        self.stats.warp_instrs += n;
+        self.stats.thread_instrs += n * active.count_ones() as u64;
+        self.stats.issue.merge(&t.pre_issue);
+
+        self.cycle = c0 + t.n_pre as u64;
+        let cycles = self.dispatch_trap(wi, t.handler, t.site);
+        let w = &mut self.warps[wi];
+        w.pc += 1;
+        finish(w, self.cycle, 4 + cycles);
+        self.cycle += 1;
+        *block_ready = (*block_ready).max(ready).max(w.ready_at);
+        if w.status != WarpStatus::Ready {
+            return false;
+        }
+        if w.pc != trap_pc + 1 || !t.post_fits(w) {
+            return true;
+        }
+
+        let active = w.active;
+        t.run_post(w, self.cbank);
+        let mut ready = c0 + t.post_alu_ready as u64;
+        if let Some(k) = t.post_mem_last {
+            w.ready_at = c0 + k as u64 + mem_lat(active);
+            ready = ready.max(w.ready_at);
+        }
+        *block_ready = (*block_ready).max(ready);
+        w.pc += t.n_post;
+        let n = t.n_post as u64;
+        self.stats.warp_instrs += n;
+        self.stats.thread_instrs += n * active.count_ones() as u64;
+        self.stats.issue.merge(&t.post_issue);
+        self.cycle += n;
+        w.pc < end
+    }
+
+    /// Calls the handler of trap site `site` for warp `wi` and returns
+    /// the cycles its declared cost charges.
+    fn dispatch_trap(&mut self, wi: usize, handler: u32, site: u32) -> u64 {
+        self.stats.handler_calls += 1;
+        let cost = {
+            let warp = &mut self.warps[wi];
+            let cta = &mut self.ctas[warp.cta];
+            let mut ctx = TrapCtx {
+                warp,
+                shared: &mut cta.shared,
+                mem: self.mem,
+                ctaid: cta.ctaid,
+                block_dim: self.dims.block,
+                grid_dim: self.dims.grid,
+                sm_id: self.sm_id,
+                cycle: self.cycle,
+                kernel: &self.kernel.name,
+                launch_index: self.launch_index,
+            };
+            self.runtime.handle(TrapRef { site, handler }, &mut ctx)
+        };
+        let cycles = cost.cycles();
+        self.stats.handler_cycles += cycles;
+        cycles
     }
 
     fn pick(&mut self) -> Pick {
@@ -921,26 +1047,7 @@ impl Exec<'_> {
                 return Ok(());
             }
             UOp::Trap { handler, site } => {
-                self.stats.handler_calls += 1;
-                let cost = {
-                    let warp = &mut self.warps[wi];
-                    let cta = &mut self.ctas[warp.cta];
-                    let mut ctx = TrapCtx {
-                        warp,
-                        shared: &mut cta.shared,
-                        mem: self.mem,
-                        ctaid: cta.ctaid,
-                        block_dim: self.dims.block,
-                        grid_dim: self.dims.grid,
-                        sm_id: self.sm_id,
-                        cycle: self.cycle,
-                        kernel: &self.kernel.name,
-                        launch_index: self.launch_index,
-                    };
-                    self.runtime.handle(TrapRef { site, handler }, &mut ctx)
-                };
-                let cycles = cost.cycles();
-                self.stats.handler_cycles += cycles;
+                let cycles = self.dispatch_trap(wi, handler, site);
                 self.warps[wi].pc += 1;
                 finish(&mut self.warps[wi], self.cycle, 4 + cycles);
                 return Ok(());
@@ -1059,6 +1166,10 @@ impl Exec<'_> {
                     }
                 });
             }
+
+            // Outside a block-stepped run a fused window executes µop
+            // by µop, starting with the stack push it replaced.
+            UOp::Tramp { idx } => self.alu_decoded(wi, &dm.trampoline(idx).push, mask),
 
             // ---- per-lane ALU -------------------------------------------------
             _ => self.alu_decoded(wi, &di.uop, mask),
@@ -1820,7 +1931,7 @@ fn finish(w: &mut Warp, cycle: u64, lat: u64) {
 /// Reads 4 bytes of a bank-0 constant image (out-of-image reads
 /// return 0, matching hardware's zero-backed tail).
 #[inline(always)]
-fn c0_read_img(cbank: &[u8], offset: u16) -> u32 {
+pub(crate) fn c0_read_img(cbank: &[u8], offset: u16) -> u32 {
     let off = offset as usize;
     if off + 4 > cbank.len() {
         return 0;

@@ -46,6 +46,7 @@
 mod config;
 mod decode;
 mod device;
+mod fuse;
 mod module;
 mod stats;
 mod trap;

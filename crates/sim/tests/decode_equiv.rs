@@ -362,6 +362,162 @@ fn unreached_invalid_site_is_harmless() {
 }
 
 // ---------------------------------------------------------------------
+// Fault paths through fused trampolines: a corrupt stack pointer makes
+// a trampoline's frame leave the local slab, either before the window
+// (the pre-part's `STL`s fault) or inside the handler (the post-part's
+// `LDL`s fault). The fused macro-µop must hand such windows back to
+// the ordinary path so the fault is exactly the unfused one — kind,
+// offset, pc, SM and every counter charged before it — and agrees
+// with the reference interpreter.
+
+mod common;
+
+use sassi_isa::{Gpr, Guard, PredReg, SpecialReg, Src};
+
+/// Lanes 0..5 (`P0`) run a bad stack pointer into every later site.
+fn stack_kernel(bad_sp: Option<u32>) -> sassi_isa::Function {
+    let g = Gpr::new;
+    let mut code = vec![
+        Instr::new(Op::S2R {
+            d: g(2),
+            sr: SpecialReg::LaneId,
+        }),
+        Instr::new(Op::ISetP {
+            p: PredReg::new(0),
+            cmp: sassi_isa::CmpOp::Lt,
+            a: g(2),
+            b: Src::Imm(5),
+            signed: false,
+            combine: None,
+        }),
+    ];
+    if let Some(v) = bad_sp {
+        code.push(Instr::guarded(
+            Guard::on(PredReg::new(0)),
+            Op::Mov32I { d: Gpr::SP, imm: v },
+        ));
+    }
+    for k in 0..4 {
+        code.push(Instr::new(Op::IAdd {
+            d: g(3 + k),
+            a: g(2),
+            b: Src::Imm(7 * k as u32 + 1),
+            x: false,
+            cc: false,
+        }));
+    }
+    code.push(Instr::new(Op::Exit));
+    sassi_isa::Function::new(
+        "k",
+        code,
+        FunctionMeta {
+            reg_high_water: 8,
+            ..FunctionMeta::default()
+        },
+    )
+}
+
+/// Runs `func` instrumented after every register write, fused
+/// (block-stepped), unfused (block-stepped) and on the reference
+/// interpreter, with `corrupt(k)` choosing the stack pointer the
+/// handler writes into lanes 0..5 at its `k`-th call. Returns the
+/// fused result after checking it against the other two.
+fn fault_parity(func: &sassi_isa::Function, corrupt: fn(u32) -> Option<u32>) -> LaunchResult {
+    let instrumentor = || {
+        let mut calls = 0u32;
+        let mut s = Sassi::new();
+        s.on_after(
+            SiteFilter::ALL,
+            InfoFlags::REGISTERS,
+            Box::new(FnHandler::free(move |ctx| {
+                if let Some(v) = corrupt(calls) {
+                    for lane in 0..5 {
+                        ctx.trap.set_reg(lane, Gpr::SP, v);
+                    }
+                }
+                calls += 1;
+            })),
+        );
+        s
+    };
+    let inst = instrumentor().apply(func, 0);
+    let fused = Module::link(std::slice::from_ref(&inst)).unwrap();
+    let unfused = Module::link(&[common::defeat_fusion(&inst)]).unwrap();
+    assert!(fused.decoded().fused_count() > 0);
+    assert_eq!(unfused.decoded().fused_count(), 0);
+    let launch = |m: &Module, mode: ExecMode, block_step: bool| {
+        let mut dev = Device::with_defaults();
+        dev.exec_mode = mode;
+        dev.block_step = block_step;
+        dev.launch(
+            m,
+            "k",
+            LaunchDims::linear(1, 32),
+            &[],
+            &mut instrumentor(),
+            0,
+            1 << 24,
+        )
+        .unwrap()
+    };
+    let f = launch(&fused, ExecMode::Decoded, true);
+    let u = launch(&unfused, ExecMode::Decoded, true);
+    assert_eq!(f, u, "fused fault diverges from unfused execution");
+    let r = launch(&fused, ExecMode::Reference, false);
+    assert_eq!(f.outcome, r.outcome, "fault diverges from the reference");
+    let work = |s: &sassi_sim::LaunchStats| {
+        (
+            s.warp_instrs,
+            s.thread_instrs,
+            s.handler_calls,
+            s.handler_cycles,
+            s.issue,
+        )
+    };
+    assert_eq!(work(&f.stats), work(&r.stats), "counters before the fault");
+    f
+}
+
+fn stack_fault(r: &LaunchResult) -> u64 {
+    match r.outcome {
+        KernelOutcome::Fault(info) => match info.kind {
+            FaultKind::StackViolation { offset } => offset,
+            other => panic!("expected a stack violation, got {other:?}"),
+        },
+        other => panic!("expected a fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn corrupt_stack_pointer_before_a_trampoline_faults_precisely() {
+    let slab = sassi_sim::GpuConfig::default().local_bytes_per_thread;
+    // Below the frame size (the push wraps), just above the slab (the
+    // frame straddles its end, so the first spills succeed and a later
+    // store faults), and far outside it.
+    for bad in [0x10, slab + 100, 0xFFFF_FF00] {
+        let r = fault_parity(&stack_kernel(Some(bad)), |_| None);
+        stack_fault(&r);
+    }
+}
+
+#[test]
+fn handler_corrupting_the_stack_pointer_faults_in_the_restores() {
+    let slab = sassi_sim::GpuConfig::default().local_bytes_per_thread;
+    // The handler's third call moves R1 out of the slab, so that
+    // trampoline's post-part restores fault.
+    let r = fault_parity(&stack_kernel(None), |k| (k == 2).then_some(0xFFFF_0000));
+    let off = stack_fault(&r);
+    assert!(off >= slab as u64, "fault offset {off:#x}");
+    assert_eq!(r.stats.handler_calls, 3);
+    // Straddling the slab's end: the first restores succeed.
+    let r = fault_parity(&stack_kernel(None), |k| {
+        (k == 1).then(|| sassi_sim::GpuConfig::default().local_bytes_per_thread - 8)
+    });
+    stack_fault(&r);
+    assert_eq!(r.stats.handler_calls, 2);
+}
+
+// ---------------------------------------------------------------------
 // The zero-allocation claim: a launch in either mode must never clone
 // an `Instr` (the seed interpreter cloned one per warp-step). Only
 // meaningful under cfg(debug_assertions), where the ISA crate counts
