@@ -4,8 +4,9 @@
 //! (`sassi_bench::exec`): results are byte-identical for any `--jobs`
 //! value, including 1.
 
+use sassi_bench::campaigns::{self, FailedWorkload};
 use sassi_bench::exec::{default_jobs, Timing};
-use sassi_bench::{campaigns, hotloop as hotloop_cmp, save_json};
+use sassi_bench::{hotloop as hotloop_cmp, save_json};
 use sassi_studies::report;
 
 const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|fig10-site WORKLOAD SITE [SEED]|ablation-stub|ablation-spill|hotloop|all]
@@ -117,27 +118,27 @@ fn main() {
     match cli.cmd.as_str() {
         "table1" => {
             no_args(&cli);
-            table1(cli.jobs);
+            failed |= !table1(cli.jobs);
         }
         "fig5" => {
             no_args(&cli);
-            fig5(cli.jobs);
+            failed |= !fig5(cli.jobs);
         }
         "fig7" => {
             no_args(&cli);
-            fig7(cli.jobs);
+            failed |= !fig7(cli.jobs);
         }
         "fig8" => {
             no_args(&cli);
-            fig8(cli.jobs);
+            failed |= !fig8(cli.jobs);
         }
         "table2" => {
             no_args(&cli);
-            table2(cli.jobs);
+            failed |= !table2(cli.jobs);
         }
         "table3" => {
             no_args(&cli);
-            table3(cli.jobs);
+            failed |= !table3(cli.jobs);
         }
         "fig10" => {
             let runs = fig10_runs(&cli);
@@ -153,11 +154,11 @@ fn main() {
         }
         "ablation-stub" => {
             no_args(&cli);
-            ablation_stub(cli.jobs);
+            failed |= !ablation_stub(cli.jobs);
         }
         "ablation-spill" => {
             no_args(&cli);
-            ablation_spill(cli.jobs);
+            failed |= !ablation_spill(cli.jobs);
         }
         "hotloop" => {
             no_args(&cli);
@@ -165,15 +166,12 @@ fn main() {
         }
         "all" => {
             no_args(&cli);
-            table1(cli.jobs);
-            fig5(cli.jobs);
-            fig7(cli.jobs);
-            fig8(cli.jobs);
-            table2(cli.jobs);
-            table3(cli.jobs);
+            for sweep in [table1, fig5, fig7, fig8, table2, table3] {
+                failed |= !sweep(cli.jobs);
+            }
             failed |= !fig10(150, cli.jobs);
-            ablation_stub(cli.jobs);
-            ablation_spill(cli.jobs);
+            failed |= !ablation_stub(cli.jobs);
+            failed |= !ablation_spill(cli.jobs);
         }
         other => usage_exit(&format!("unknown experiment `{other}`")),
     }
@@ -182,18 +180,42 @@ fn main() {
     }
 }
 
-fn table1(jobs: usize) {
-    let (rows, timing) = campaigns::table1(jobs);
+/// Reports a sweep's timing and the workloads it lost to a panic, each
+/// with its message; returns whether there were none. A sweep with
+/// failures writes no artifact, and `repro` exits 1 after the remaining
+/// sweeps.
+fn sweep_ok(label: &str, timing: &Timing, failed: &[FailedWorkload]) -> bool {
+    report_timing(label, timing);
+    for f in failed {
+        eprintln!("[{label}] {} panicked: {}", f.workload, f.message);
+    }
+    if !failed.is_empty() {
+        eprintln!(
+            "[{label}] {} workload(s) panicked; results not written",
+            failed.len()
+        );
+    }
+    failed.is_empty()
+}
+
+fn table1(jobs: usize) -> bool {
+    let (rows, timing, failed) = campaigns::table1(jobs);
+    if !sweep_ok("table1", &timing, &failed) {
+        return false;
+    }
     println!("{}", report::table1(&rows));
     save_json(
         "table1",
         &rows.iter().map(|r| r.row.clone()).collect::<Vec<_>>(),
     );
-    report_timing("table1", &timing);
+    true
 }
 
-fn fig5(jobs: usize) {
-    let (studies, timing) = campaigns::fig5(jobs);
+fn fig5(jobs: usize) -> bool {
+    let (studies, timing, failed) = campaigns::fig5(jobs);
+    if !sweep_ok("fig5", &timing, &failed) {
+        return false;
+    }
     for study in &studies {
         println!("{}", report::figure5(study, 12));
         save_json(
@@ -201,11 +223,14 @@ fn fig5(jobs: usize) {
             &study.per_branch,
         );
     }
-    report_timing("fig5", &timing);
+    true
 }
 
-fn fig7(jobs: usize) {
-    let (studies, timing) = campaigns::fig7(jobs);
+fn fig7(jobs: usize) -> bool {
+    let (studies, timing, failed) = campaigns::fig7(jobs);
+    if !sweep_ok("fig7", &timing, &failed) {
+        return false;
+    }
     println!("{}", report::figure7(&studies));
     save_json(
         "fig7",
@@ -214,11 +239,14 @@ fn fig7(jobs: usize) {
             .map(|s| (s.name.clone(), s.pmf.clone(), s.fully_diverged))
             .collect::<Vec<_>>(),
     );
-    report_timing("fig7", &timing);
+    true
 }
 
-fn fig8(jobs: usize) {
-    let (studies, timing) = campaigns::fig8(jobs);
+fn fig8(jobs: usize) -> bool {
+    let (studies, timing, failed) = campaigns::fig8(jobs);
+    if !sweep_ok("fig8", &timing, &failed) {
+        return false;
+    }
     for study in &studies {
         println!("{}", report::figure8(study));
         save_json(
@@ -226,39 +254,49 @@ fn fig8(jobs: usize) {
             &study.matrix,
         );
     }
-    report_timing("fig8", &timing);
+    true
 }
 
-fn table2(jobs: usize) {
-    let (rows, timing) = campaigns::table2(jobs);
+fn table2(jobs: usize) -> bool {
+    let (rows, timing, failed) = campaigns::table2(jobs);
+    if !sweep_ok("table2", &timing, &failed) {
+        return false;
+    }
     println!("{}", report::table2(&rows));
     save_json("table2", &rows);
-    report_timing("table2", &timing);
+    true
 }
 
-fn table3(jobs: usize) {
-    let (rows, timing) = campaigns::table3(jobs);
+fn table3(jobs: usize) -> bool {
+    let (rows, timing, failed) = campaigns::table3(jobs);
+    if !sweep_ok("table3", &timing, &failed) {
+        return false;
+    }
     println!("{}", report::table3(&rows));
     save_json("table3", &rows);
-    report_timing("table3", &timing);
+    true
 }
 
-/// Runs the Figure 10 sweep; returns `false` if any injection
-/// panicked. The sweep still finishes, but its tallies are then short
-/// of those injections, so `results/fig10.json` is left untouched and
-/// each failure is printed with the command that reruns it alone.
+/// Runs the Figure 10 sweep; returns `false` if any workload's
+/// planning or any injection panicked. The sweep still finishes, but
+/// its tallies are then short of those units, so `results/fig10.json`
+/// is left untouched and each failed injection is printed with the
+/// command that reruns it alone.
 fn fig10(runs: usize, jobs: usize) -> bool {
-    let (campaigns, timing, failures) = campaigns::fig10(runs, campaigns::FIG10_SEED, jobs);
+    let (campaigns, timing, failed_plans, failures) =
+        campaigns::fig10(runs, campaigns::FIG10_SEED, jobs);
     println!("{}", report::figure10(&campaigns));
-    report_timing("fig10", &timing);
-    if failures.is_empty() {
+    let plans_ok = sweep_ok("fig10", &timing, &failed_plans);
+    if plans_ok && failures.is_empty() {
         save_json("fig10", &campaigns);
         return true;
     }
-    eprintln!(
-        "[fig10] {} injection(s) panicked; results/fig10.json not written",
-        failures.len()
-    );
+    if !failures.is_empty() {
+        eprintln!(
+            "[fig10] {} injection(s) panicked; results/fig10.json not written",
+            failures.len()
+        );
+    }
     for f in &failures {
         eprintln!(
             "[fig10] {} site {} (site seed {:#x}): {}\n  reproduce: {}",
@@ -272,8 +310,11 @@ fn fig10(runs: usize, jobs: usize) -> bool {
     false
 }
 
-fn ablation_stub(jobs: usize) {
-    let (rows, timing) = campaigns::ablation_stub(jobs);
+fn ablation_stub(jobs: usize) -> bool {
+    let (rows, timing, failed) = campaigns::ablation_stub(jobs);
+    if !sweep_ok("ablation-stub", &timing, &failed) {
+        return false;
+    }
     println!("Stub-handler ablation (§9.1): kernel slowdown with full vs empty handler");
     for row in &rows {
         println!(
@@ -290,7 +331,7 @@ fn ablation_stub(jobs: usize) {
         100.0 * mean
     );
     save_json("ablation_stub", &rows);
-    report_timing("ablation-stub", &timing);
+    true
 }
 
 fn hotloop(jobs: usize) {
@@ -343,8 +384,11 @@ fn hotloop(jobs: usize) {
     save_json("timings/sim_hot_loop", &report);
 }
 
-fn ablation_spill(jobs: usize) {
-    let (rows, timing) = campaigns::ablation_spill(jobs);
+fn ablation_spill(jobs: usize) -> bool {
+    let (rows, timing, failed) = campaigns::ablation_spill(jobs);
+    if !sweep_ok("ablation-spill", &timing, &failed) {
+        return false;
+    }
     println!("Liveness ablation: liveness-driven minimal saves vs save-everything (binary-rewriter baseline)");
     println!(
         "{:<16} {:>14} {:>16} {:>12} {:>10}",
@@ -356,5 +400,5 @@ fn ablation_spill(jobs: usize) {
             row.name, row.live_saves, row.all_saves, row.k_live, row.k_all
         );
     }
-    report_timing("ablation-spill", &timing);
+    true
 }

@@ -6,8 +6,12 @@
 //! merges results in canonical order. The `repro` binary and the
 //! determinism tests both call these functions, so "what the CLI does"
 //! and "what the tests assert" cannot drift apart.
+//!
+//! Every unit runs under [`run_units_contained`]: a unit that panics is
+//! returned as a [`FailedWorkload`] or [`FailedInjection`] while its
+//! siblings finish, so one bad workload cannot abort a long sweep.
 
-use crate::exec::{run_units, run_units_contained, split_jobs, Timing, WorkloadCache};
+use crate::exec::{run_units_contained, split_jobs, Timing, WorkloadCache};
 use sassi_studies::inject::{self, InjectionCampaign, InjectionSite};
 use sassi_studies::{branch, memdiv, overhead, value};
 use sassi_workloads::{fig10_set, fig7_set, table1_set, table2_set, table3_set, Workload};
@@ -19,8 +23,40 @@ fn set_names(set: Vec<Box<dyn Workload>>) -> Vec<String> {
     set.iter().map(|w| w.name()).collect()
 }
 
+/// A per-workload unit (a study row, or a Figure 10 campaign plan) that
+/// panicked instead of producing its result.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FailedWorkload {
+    /// Workload display name.
+    pub workload: String,
+    /// The panic message.
+    pub message: String,
+}
+
+/// Splits contained per-workload results into the workloads that
+/// finished, with their results in unit order, and those that panicked.
+fn split_failed<R>(
+    names: &[String],
+    results: Vec<Result<R, String>>,
+) -> (Vec<(&String, R)>, Vec<FailedWorkload>) {
+    let mut rows = Vec::with_capacity(results.len());
+    let mut failed = Vec::new();
+    for (name, r) in names.iter().zip(results) {
+        match r {
+            Ok(row) => rows.push((name, row)),
+            Err(message) => failed.push(FailedWorkload {
+                workload: name.clone(),
+                message,
+            }),
+        }
+    }
+    (rows, failed)
+}
+
 /// Fans one study function across a workload set, one unit per
-/// workload, returning rows in set order.
+/// workload, returning rows in set order. A workload whose study
+/// panics has no row; it is returned as a [`FailedWorkload`] instead,
+/// after every other workload has finished.
 ///
 /// The `jobs` budget is split by [`split_jobs`]: outer workers claim
 /// whole workloads; any leftover budget is passed to the study as its
@@ -32,7 +68,7 @@ pub fn per_workload<R: Send>(
     label: &str,
     names: &[String],
     study: impl Fn(&dyn Workload, usize) -> R + Sync,
-) -> (Vec<R>, Timing) {
+) -> Sweep<R> {
     let split = split_jobs(jobs, names.len());
     if split.degraded {
         eprintln!(
@@ -41,7 +77,7 @@ pub fn per_workload<R: Send>(
             names.len()
         );
     }
-    run_units(
+    let (results, timing) = run_units_contained(
         split.outer,
         names,
         WorkloadCache::default,
@@ -49,18 +85,24 @@ pub fn per_workload<R: Send>(
             eprintln!("[{label}] {name}");
             study(cache.get(name), split.inner)
         },
-    )
+    );
+    let (rows, failed) = split_failed(names, results);
+    (rows.into_iter().map(|(_, r)| r).collect(), timing, failed)
 }
 
+/// The result of a per-workload sweep: its rows in set order, its
+/// timing and the workloads that panicked.
+pub type Sweep<R> = (Vec<R>, Timing, Vec<FailedWorkload>);
+
 /// Table 1: branch-divergence statistics.
-pub fn table1(jobs: usize) -> (Vec<branch::BranchStudy>, Timing) {
+pub fn table1(jobs: usize) -> Sweep<branch::BranchStudy> {
     per_workload(jobs, "table1", &set_names(table1_set()), |w, inner| {
         branch::run_with_jobs(w, inner)
     })
 }
 
 /// Figure 5: per-branch profiles for bfs 1M vs UT.
-pub fn fig5(jobs: usize) -> (Vec<branch::BranchStudy>, Timing) {
+pub fn fig5(jobs: usize) -> Sweep<branch::BranchStudy> {
     let names = ["bfs (1M)", "bfs (UT)"].map(String::from);
     per_workload(jobs, "fig5", &names, |w, inner| {
         branch::run_with_jobs(w, inner)
@@ -68,14 +110,14 @@ pub fn fig5(jobs: usize) -> (Vec<branch::BranchStudy>, Timing) {
 }
 
 /// Figure 7: memory-divergence PMFs.
-pub fn fig7(jobs: usize) -> (Vec<memdiv::MemDivStudy>, Timing) {
+pub fn fig7(jobs: usize) -> Sweep<memdiv::MemDivStudy> {
     per_workload(jobs, "fig7", &set_names(fig7_set()), |w, inner| {
         memdiv::run_with_jobs(w, inner)
     })
 }
 
 /// Figure 8: miniFE CSR vs ELL access matrices.
-pub fn fig8(jobs: usize) -> (Vec<memdiv::MemDivStudy>, Timing) {
+pub fn fig8(jobs: usize) -> Sweep<memdiv::MemDivStudy> {
     let names = ["miniFE (CSR)", "miniFE (ELL)"].map(String::from);
     per_workload(jobs, "fig8", &names, |w, inner| {
         memdiv::run_with_jobs(w, inner)
@@ -83,7 +125,7 @@ pub fn fig8(jobs: usize) -> (Vec<memdiv::MemDivStudy>, Timing) {
 }
 
 /// Table 2: value profiling.
-pub fn table2(jobs: usize) -> (Vec<value::ValueRow>, Timing) {
+pub fn table2(jobs: usize) -> Sweep<value::ValueRow> {
     per_workload(jobs, "table2", &set_names(table2_set()), |w, inner| {
         value::run_with_jobs(w, inner)
     })
@@ -92,7 +134,7 @@ pub fn table2(jobs: usize) -> (Vec<value::ValueRow>, Timing) {
 /// Table 3: instrumentation overheads. The overhead study times
 /// serial launches (its slowdown model assumes one SM worker), so it
 /// ignores the inner job share.
-pub fn table3(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
+pub fn table3(jobs: usize) -> Sweep<overhead::OverheadRow> {
     per_workload(jobs, "table3", &set_names(table3_set()), |w, _inner| {
         overhead::run(w)
     })
@@ -145,15 +187,12 @@ pub fn fig10_site(workload: &str, site_index: usize, campaign_seed: u64) -> inje
 /// are tallied back per workload in site order, so the merged
 /// campaigns are bit-identical to a serial run regardless of `jobs`.
 ///
-/// A panicking injection does not stop the sweep: it is left out of
-/// its workload's tally and returned as a [`FailedInjection`].
-pub fn fig10_named(
-    names: &[String],
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> (Vec<InjectionCampaign>, Timing, Vec<FailedInjection>) {
-    let (plans, mut timing) = run_units(
+/// A panic does not stop the sweep. A workload whose planning panics
+/// has no campaign and is returned as a [`FailedWorkload`]; a panicking
+/// injection is left out of its workload's tally and returned as a
+/// [`FailedInjection`].
+pub fn fig10_named(names: &[String], runs: usize, seed: u64, jobs: usize) -> Fig10Sweep {
+    let (plans, mut timing) = run_units_contained(
         jobs,
         names,
         WorkloadCache::default,
@@ -162,27 +201,31 @@ pub fn fig10_named(
             inject::plan_campaign(cache.get(name), runs, seed)
         },
     );
+    let (planned, failed_plans) = split_failed(names, plans);
 
     // One unit per injection: (workload index, site index, site).
-    let units: Vec<(usize, usize, InjectionSite)> = plans
+    let units: Vec<(usize, usize, InjectionSite)> = planned
         .iter()
         .enumerate()
-        .flat_map(|(wi, p)| p.sites.iter().enumerate().map(move |(k, &s)| (wi, k, s)))
+        .flat_map(|(wi, (_, p))| p.sites.iter().enumerate().map(move |(k, &s)| (wi, k, s)))
         .collect();
     let (outcomes, inject_timing) = run_units_contained(
         jobs,
         &units,
         WorkloadCache::default,
-        |cache, &(wi, _, site), _| inject::run_one(cache.get(&names[wi]), site, plans[wi].watchdog),
+        |cache, &(wi, _, site), _| {
+            let (name, plan) = &planned[wi];
+            inject::run_one(cache.get(name), site, plan.watchdog)
+        },
     );
     timing.merge(&inject_timing);
 
     // Units were flattened in workload order, so outcomes regroup by
     // contiguous runs of the same workload index.
-    let mut campaigns = Vec::with_capacity(names.len());
+    let mut campaigns = Vec::with_capacity(planned.len());
     let mut failed = Vec::new();
     let mut cursor = 0;
-    for (wi, plan) in plans.iter().enumerate() {
+    for (name, plan) in &planned {
         let n = plan.sites.len();
         let mut ok = Vec::with_capacity(n);
         for (&(_, k, site), outcome) in units[cursor..cursor + n]
@@ -192,7 +235,7 @@ pub fn fig10_named(
             match outcome {
                 Ok(o) => ok.push(*o),
                 Err(message) => failed.push(FailedInjection {
-                    workload: names[wi].clone(),
+                    workload: (*name).clone(),
                     site_index: k,
                     campaign_seed: seed,
                     site_seed: site.seed,
@@ -200,24 +243,30 @@ pub fn fig10_named(
                 }),
             }
         }
-        campaigns.push(inject::tally(names[wi].clone(), &ok));
+        campaigns.push(inject::tally((*name).clone(), &ok));
         cursor += n;
     }
-    (campaigns, timing, failed)
+    (campaigns, timing, failed_plans, failed)
 }
 
+/// The result of a Figure 10 sweep: one campaign per planned workload
+/// in set order, the sweep's timing, the workloads whose planning
+/// panicked and the injections that panicked.
+pub type Fig10Sweep = (
+    Vec<InjectionCampaign>,
+    Timing,
+    Vec<FailedWorkload>,
+    Vec<FailedInjection>,
+);
+
 /// Figure 10 over the paper's benchmark set.
-pub fn fig10(
-    runs: usize,
-    seed: u64,
-    jobs: usize,
-) -> (Vec<InjectionCampaign>, Timing, Vec<FailedInjection>) {
+pub fn fig10(runs: usize, seed: u64, jobs: usize) -> Fig10Sweep {
     let names = set_names(fig10_set());
     fig10_named(&names, runs, seed, jobs)
 }
 
 /// §9.1 stub-handler ablation rows.
-pub fn ablation_stub(jobs: usize) -> (Vec<overhead::OverheadRow>, Timing) {
+pub fn ablation_stub(jobs: usize) -> Sweep<overhead::OverheadRow> {
     let names = ["nn", "sad", "kmeans", "stencil", "spmv (small)"].map(String::from);
     per_workload(jobs, "ablation-stub", &names, |w, _inner| overhead::run(w))
 }
@@ -238,7 +287,7 @@ pub struct SpillRow {
 }
 
 /// Liveness-driven vs save-everything spill ablation rows.
-pub fn ablation_spill(jobs: usize) -> (Vec<SpillRow>, Timing) {
+pub fn ablation_spill(jobs: usize) -> Sweep<SpillRow> {
     let names = [
         "nn",
         "sgemm (small)",

@@ -18,8 +18,9 @@ fn json<T: Serialize>(v: &T) -> String {
 #[test]
 fn injection_campaign_is_identical_across_job_counts() {
     let names = vec![String::from("nn")];
-    let (serial, t1, f1) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 1);
-    let (parallel, t4, f4) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 4);
+    let (serial, t1, p1, f1) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 1);
+    let (parallel, t4, p4, f4) = campaigns::fig10_named(&names, 8, 0xD15EA5E, 4);
+    assert!(p1.is_empty() && p4.is_empty(), "{p1:?} {p4:?}");
     assert!(f1.is_empty() && f4.is_empty(), "{f1:?} {f4:?}");
     assert_eq!(json(&serial), json(&parallel));
     // Two engine passes per campaign: planning (1 unit) + injections (8).
@@ -52,11 +53,12 @@ fn branch_sweep_is_identical_across_job_counts() {
     let names = ["nn", "bfs (UT)", "gaussian"].map(String::from);
     let study =
         |w: &dyn sassi_workloads::Workload, inner: usize| branch::run_with_jobs(w, inner).row;
-    let (serial, _) = campaigns::per_workload(1, "test-branch", &names, study);
-    let (parallel, _) = campaigns::per_workload(4, "test-branch", &names, study);
+    let (serial, _, f1) = campaigns::per_workload(1, "test-branch", &names, study);
+    let (parallel, _, f4) = campaigns::per_workload(4, "test-branch", &names, study);
     // jobs=8 over 3 units leaves a share of 2 for inner CTA workers,
     // exercising the split path as well.
-    let (split, _) = campaigns::per_workload(8, "test-branch", &names, study);
+    let (split, _, f8) = campaigns::per_workload(8, "test-branch", &names, study);
+    assert!(f1.is_empty() && f4.is_empty() && f8.is_empty());
     assert_eq!(json(&serial), json(&parallel));
     assert_eq!(json(&serial), json(&split));
     // Rows come back in set order, not completion order.

@@ -1,5 +1,11 @@
-//! The assembled memory hierarchy: per-SM L1s over a shared L2 over
-//! DRAM, fed by the coalescer.
+//! The assembled memory hierarchy: per-SM L1s over one L2 over DRAM,
+//! fed by the coalescer.
+//!
+//! A [`MemoryHierarchy`] built for several SMs shares its L2 and DRAM
+//! among them. The simulator's device does not use that form: it
+//! builds one single-SM hierarchy per SM slot, so during a launch each
+//! SM has its own L1, its own full-size L2 and its own DRAM channel,
+//! and no SM sees another's L2 hits or DRAM traffic.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::coalesce::coalesce_batch;
@@ -11,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub struct HierarchyConfig {
     /// Per-SM L1 geometry.
     pub l1: CacheConfig,
-    /// Shared L2 geometry.
+    /// L2 geometry (one L2 per hierarchy; see the module docs).
     pub l2: CacheConfig,
     /// DRAM timing.
     pub dram: DramConfig,

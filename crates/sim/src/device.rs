@@ -132,7 +132,9 @@ pub fn block_step_env_default() -> bool {
     })
 }
 
-/// Persistent per-SM execution state, recycled across launches.
+/// Persistent per-SM execution state, recycled across launches. Each
+/// slot owns a private single-SM memory hierarchy: its own L1, L2 and
+/// DRAM channel (nothing is shared between SMs).
 struct SmSlot {
     hier: MemoryHierarchy,
     warps: Vec<Warp>,
@@ -728,16 +730,17 @@ impl Exec<'_> {
             }) = dm.get(pc)
             {
                 let t = dm.trampoline(idx);
-                if t.pre_fits(&self.warps[wi]) {
-                    if self.run_trampoline(wi, t, end, &mut block_ready) {
+                if let Some(frame) = t.pre_frame(&self.warps[wi]) {
+                    if self.run_trampoline(wi, t, frame, end, &mut block_ready) {
                         continue;
                     }
                     break;
                 }
-                // Some lane's frame would leave its slab: the push runs
-                // like any straight-line µop and the window follows µop
-                // by µop, faulting precisely (the push never ends its
-                // block, so the run continues).
+                // The lanes disagree on the frame or some lane's frame
+                // would leave its slab: the push runs like any
+                // straight-line µop and the window follows µop by µop,
+                // faulting precisely (the push never ends its block, so
+                // the run continues).
                 let w = &mut self.warps[wi];
                 let mask = w.active;
                 Self::exec_alu(self.cbank, w, &t.push, mask);
@@ -770,21 +773,23 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// Runs the fused trampoline `t` whose push sits at warp `wi`'s pc
-    /// (the caller has checked [`Trampoline::pre_fits`]): the pre-part
-    /// lane by lane, the handler exactly as a `Trap` µop dispatches it,
-    /// then the post-part lane by lane. Charges what the window's µops
+    /// Runs the fused trampoline `t` whose push sits at warp `wi`'s pc,
+    /// with the pre-part's frame at local row `frame` (from
+    /// [`Trampoline::pre_frame`]): the pre-part over the warp, the
+    /// handler exactly as a `Trap` µop dispatches it, then the
+    /// post-part over the warp. Charges what the window's µops
     /// charge under block stepping — one cycle and one issue each, and
     /// the same `ready_at` and block-ready contributions — and returns
     /// whether the block run continues after the window.
     ///
-    /// If the post-part's frame check fails (a handler corrupted R1)
+    /// If the post-part's frame check fails (a handler moved R1)
     /// or the handler stopped the warp, the warp resumes at the µop
     /// after the trap on the ordinary path, as unfused execution does.
     fn run_trampoline(
         &mut self,
         wi: usize,
         t: &Trampoline,
+        frame: usize,
         end: u32,
         block_ready: &mut u64,
     ) -> bool {
@@ -796,7 +801,7 @@ impl Exec<'_> {
         let w = &mut self.warps[wi];
         let trap_pc = w.pc + t.n_pre;
         let active = w.active;
-        t.run_pre(w, self.cbank);
+        t.run_pre(w, frame, self.cbank);
         let mut ready = c0 + t.pre_alu_ready as u64;
         if let Some(k) = t.pre_mem_last {
             w.ready_at = c0 + k as u64 + mem_lat(active);
@@ -818,12 +823,15 @@ impl Exec<'_> {
         if w.status != WarpStatus::Ready {
             return false;
         }
-        if w.pc != trap_pc + 1 || !t.post_fits(w) {
+        if w.pc != trap_pc + 1 {
             return true;
         }
+        let Some(frame) = t.post_frame(w) else {
+            return true;
+        };
 
         let active = w.active;
-        t.run_post(w, self.cbank);
+        t.run_post(w, frame, self.cbank);
         let mut ready = c0 + t.post_alu_ready as u64;
         if let Some(k) = t.post_mem_last {
             w.ready_at = c0 + k as u64 + mem_lat(active);
@@ -1601,17 +1609,12 @@ impl Exec<'_> {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let mut buf = [0u8; 16];
-                    {
-                        let w = &self.warps[wi];
-                        let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
-                        let off = a as usize;
-                        let slab = w.lane_local(lane);
-                        if off + bytes as usize > slab.len() {
-                            return Err(FaultKind::StackViolation { offset: a });
-                        }
-                        buf[..bytes as usize].copy_from_slice(&slab[off..off + bytes as usize]);
+                    let w = &mut self.warps[wi];
+                    let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
+                    if !w.read_local(lane, a, &mut buf[..bytes as usize]) {
+                        return Err(FaultKind::StackViolation { offset: a });
                     }
-                    write_load_result(&mut self.warps[wi], lane, d, width, &buf);
+                    write_load_result(w, lane, d, width, &buf);
                 }
                 let lat = self.mem_latency(&[], bytes, false, mask != 0, false);
                 finish(&mut self.warps[wi], self.cycle, lat);
@@ -1656,14 +1659,10 @@ impl Exec<'_> {
             let data: [u8; 16] = match space {
                 AddrSpace::Local => {
                     has_local = true;
-                    let w = &self.warps[wi];
-                    let slab = w.lane_local(lane);
-                    let off = a as usize;
-                    if off + bytes as usize > slab.len() {
+                    let mut buf = [0u8; 16];
+                    if !self.warps[wi].read_local(lane, a, &mut buf[..bytes as usize]) {
                         return Err(FaultKind::StackViolation { offset: a });
                     }
-                    let mut buf = [0u8; 16];
-                    buf[..bytes as usize].copy_from_slice(&slab[off..off + bytes as usize]);
                     buf
                 }
                 AddrSpace::Shared => {
@@ -1721,12 +1720,9 @@ impl Exec<'_> {
                     let w = &mut self.warps[wi];
                     store_source_bytes(w, lane, v, width, bytes, &mut buf);
                     let a = w.reg(lane, addr.base).wrapping_add(addr.offset as u32) as u64;
-                    let off = a as usize;
-                    let slab = w.lane_local_mut(lane);
-                    if off + bytes as usize > slab.len() {
+                    if !w.write_local(lane, a, &buf[..bytes as usize]) {
                         return Err(FaultKind::StackViolation { offset: a });
                     }
-                    slab[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
                 }
                 let lat = self.mem_latency(&[], bytes, true, mask != 0, false);
                 finish(&mut self.warps[wi], self.cycle, lat);
@@ -1768,13 +1764,9 @@ impl Exec<'_> {
             match space {
                 AddrSpace::Local => {
                     has_local = true;
-                    let w = &mut self.warps[wi];
-                    let off = a as usize;
-                    let slab = w.lane_local_mut(lane);
-                    if off + bytes as usize > slab.len() {
+                    if !self.warps[wi].write_local(lane, a, &buf[..bytes as usize]) {
                         return Err(FaultKind::StackViolation { offset: a });
                     }
-                    slab[off..off + bytes as usize].copy_from_slice(&buf[..bytes as usize]);
                 }
                 AddrSpace::Shared => {
                     has_shared = true;

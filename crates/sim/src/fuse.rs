@@ -6,9 +6,17 @@
 //! and the pop — 30 to 60 µops per site, nearly all of them moving
 //! words between a lane's registers and its own stack frame. Decode
 //! finds each such *window* and compiles it into a [`Trampoline`]: a
-//! short per-lane program the block-stepped interpreter runs lane by
-//! lane in one step instead of dispatching every constituent µop over
-//! the whole warp.
+//! short program of lane-row operations the block-stepped interpreter
+//! runs in one step instead of dispatching every constituent µop.
+//!
+//! The parts run op-major: each op once over the whole warp. Registers
+//! and local memory are stored as lane rows (see [`Warp`]), and every
+//! active lane must share one word-aligned frame pointer, so a frame
+//! word is one local row and a spill or restore is a row-to-row move —
+//! a whole-row copy when all 32 lanes are active, a per-lane select of
+//! the active lanes otherwise. Lanes are independent (each op touches only
+//! its own lane's registers, predicates, carry and frame words), so
+//! running op by op leaves exactly what running lane by lane leaves.
 //!
 //! # Exactness contract
 //!
@@ -30,18 +38,25 @@
 //! loads, because handlers may rewrite registers, the frame or R1.
 //!
 //! Faults stay precise by never happening inside a fused part: each
-//! part first checks that every active lane's frame lies inside its
-//! local slab (one check per lane instead of one per `STL`/`LDL`), and
-//! if any lane fails, that part runs µop by µop on the ordinary path,
-//! which raises the exact fault at the exact pc. The unfused µops stay
-//! in the decoded array for this, for single-stepping, and for branch
-//! targets that land inside a window.
+//! part first checks that the active lanes share a word-aligned frame
+//! pointer and that the frame lies inside the local slab (one check per
+//! part instead of one per `STL`/`LDL` and lane). If the check fails —
+//! only after a fault or a handler corrupted R1 — that part runs µop by
+//! µop on the ordinary path, which raises the exact fault at the exact
+//! pc. The unfused µops stay in the decoded array for this, for
+//! single-stepping, and for branch targets that land inside a window.
 
 use crate::decode::{DSrc, DecodedInstr, UOp, GUARD_ALWAYS};
 use crate::device::c0_read_img;
 use crate::stats::IssueCounters;
 use crate::warp::Warp;
-use sassi_isa::{AddrSpace, Gpr, Instr, LogicOp, MemAddr, MemWidth, Op, Src};
+use sassi_isa::{
+    lanes, AddrSpace, Gpr, Instr, LaneMask, LogicOp, MemAddr, MemWidth, Op, Src, FULL_MASK,
+};
+
+/// One word for each of a warp's 32 lanes: a register, or one word of
+/// local memory, across the warp (see [`Warp::regs`], [`Warp::local`]).
+type LaneRow = [u32; 32];
 
 /// Destination encoding of `RZ`: the register write is dropped.
 const RZ: u8 = 255;
@@ -64,8 +79,9 @@ pub(crate) enum TSrc {
     C0(u16),
 }
 
-/// One per-lane operation of a fused trampoline part. Frame offsets
-/// are relative to the part's frame pointer (R1 after the push).
+/// One operation of a fused trampoline part, run for every active lane.
+/// Frame offsets are byte offsets, multiples of 4, relative to the
+/// part's frame pointer (R1 after the push).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TOp {
     Mov {
@@ -135,11 +151,9 @@ pub(crate) struct Trampoline {
     push_imm: u32,
     /// Lane-varying pre-part work after the push, in program order.
     pre: Box<[TOp]>,
-    /// Lane-uniform frame bytes the pre-part stores, as runs of
-    /// `(frame offset, start, len)` into `frame_bytes`.
-    frame_runs: Box<[(u16, u16, u16)]>,
-    /// The bytes of every lane-uniform frame run, concatenated.
-    frame_bytes: Box<[u8]>,
+    /// Lane-uniform frame words the pre-part stores, as `(frame offset,
+    /// value)` in offset order.
+    frame: Box<[(u16, u32)]>,
     /// Final values of the registers the pre-part sets to constants.
     reg_imm: Box<[(u8, u32)]>,
     /// Bytes above the frame pointer the pre-part stores reach.
@@ -507,15 +521,6 @@ pub(crate) fn compile(code: &[DecodedInstr], w: Window, trap_pc: usize) -> Optio
     }
     pre_ops.reverse();
     frame_imm.sort_unstable();
-    let mut frame_runs: Vec<(u16, u16, u16)> = Vec::new();
-    let mut frame_bytes = Vec::new();
-    for (off, v) in frame_imm {
-        match frame_runs.last_mut() {
-            Some((o, _, len)) if *o + *len == off => *len += 4,
-            _ => frame_runs.push((off, frame_bytes.len() as u16, 4)),
-        }
-        frame_bytes.extend_from_slice(&v.to_le_bytes());
-    }
     let reg_imm: Vec<(u8, u32)> = (0..=u8::MAX)
         .filter_map(|r| pre.known[r as usize].map(|v| (r, v)))
         .collect();
@@ -524,8 +529,7 @@ pub(crate) fn compile(code: &[DecodedInstr], w: Window, trap_pc: usize) -> Optio
         push: code[w.push].uop,
         push_imm,
         pre: group_regs(pre_ops).into(),
-        frame_runs: frame_runs.into(),
-        frame_bytes: frame_bytes.into(),
+        frame: frame_imm.into(),
         reg_imm: reg_imm.into(),
         pre_end: pre.end,
         post: group_regs(post.ops).into(),
@@ -591,166 +595,194 @@ fn group_regs(ops: Vec<TOp>) -> Vec<TOp> {
 }
 
 impl Trampoline {
-    /// Whether every active lane can run a part whose frame starts at
-    /// R1 + `adjust` and spans `end` bytes without faulting: the frame
-    /// lies inside the lane's local slab and every register the window
-    /// names is provisioned.
-    fn fits(&self, w: &Warp, adjust: u32, end: u32) -> bool {
-        let rpt = w.regs_per_thread() as usize;
-        if self.max_reg as usize >= rpt {
-            return false;
+    /// The local row of the frame of a part that starts at R1 +
+    /// `adjust` and spans `end` bytes, if the warp can run that part
+    /// fused without faulting: every active lane has the same frame
+    /// pointer, it is word-aligned, the frame lies inside the local
+    /// slab, and every register the window names is provisioned.
+    fn frame_row(&self, w: &Warp, adjust: u32, end: u32) -> Option<usize> {
+        if self.max_reg as u32 >= w.regs_per_thread() {
+            return None;
         }
-        let slab = w.local_bytes() as u64;
-        let mut m = w.active;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let fp = w.regs[lane * rpt + SP as usize].wrapping_add(adjust);
-            if fp as u64 + end as u64 > slab {
-                return false;
-            }
+        let sp = &w.regs[32 * SP as usize..][..32];
+        let r1 = sp[w.leader()?];
+        if !lanes(w.active).all(|l| sp[l] == r1) {
+            return None;
         }
-        true
+        let fp = r1.wrapping_add(adjust);
+        (fp.is_multiple_of(4) && fp as u64 + end as u64 <= w.local_bytes() as u64)
+            .then_some(fp as usize / 4)
     }
 
-    /// Whether the pre-part (push through the µop before the trap) can
-    /// run fused for this warp.
-    pub(crate) fn pre_fits(&self, w: &Warp) -> bool {
-        self.fits(w, self.push_imm, self.pre_end)
+    /// The frame row of the pre-part (push through the µop before the
+    /// trap), if it can run fused for this warp.
+    pub(crate) fn pre_frame(&self, w: &Warp) -> Option<usize> {
+        self.frame_row(w, self.push_imm, self.pre_end)
     }
 
-    /// Whether the post-part (trap + 1 through the pop) can run fused.
-    pub(crate) fn post_fits(&self, w: &Warp) -> bool {
-        self.fits(w, 0, self.post_end)
+    /// The frame row of the post-part (trap + 1 through the pop), if it
+    /// can run fused.
+    pub(crate) fn post_frame(&self, w: &Warp) -> Option<usize> {
+        self.frame_row(w, 0, self.post_end)
     }
 
-    /// Runs the pre-part on every active lane. Requires
-    /// [`Trampoline::pre_fits`].
-    pub(crate) fn run_pre(&self, w: &mut Warp, cbank: &[u8]) {
-        for_each_lane(w, |r, slab, p, c| {
-            let fp = r[SP as usize].wrapping_add(self.push_imm);
-            r[SP as usize] = fp;
-            let frame = &mut slab[fp as usize..][..self.pre_end as usize];
-            run_ops(&self.pre, r, frame, p, c, cbank);
-            for &(off, start, len) in self.frame_runs.iter() {
-                let (off, start, len) = (off as usize, start as usize, len as usize);
-                frame[off..off + len].copy_from_slice(&self.frame_bytes[start..start + len]);
-            }
-            for &(d, v) in self.reg_imm.iter() {
-                r[d as usize] = v;
-            }
-        });
+    /// Runs the pre-part over the active lanes, whose frame starts at
+    /// local row `frame` (from [`Trampoline::pre_frame`]).
+    pub(crate) fn run_pre(&self, w: &mut Warp, frame: usize, cbank: &[u8]) {
+        let act = Active::new(w.active);
+        let top = w.store_local_rows(frame);
+        let regs = rows(w).0;
+        let sp = regs[SP as usize].map(|v| v.wrapping_add(self.push_imm));
+        act.put(&mut regs[SP as usize], &sp);
+        run_ops(&self.pre, &act, w, top, cbank);
+        let (regs, local) = rows(w);
+        for &(off, v) in self.frame.iter() {
+            act.put(&mut local[top - (off >> 2) as usize], &[v; 32]);
+        }
+        for &(d, v) in self.reg_imm.iter() {
+            act.put(&mut regs[d as usize], &[v; 32]);
+        }
     }
 
-    /// Runs the post-part on every active lane. Requires
-    /// [`Trampoline::post_fits`].
-    pub(crate) fn run_post(&self, w: &mut Warp, cbank: &[u8]) {
-        for_each_lane(w, |r, slab, p, c| {
-            let frame = &mut slab[r[SP as usize] as usize..][..self.post_end as usize];
-            run_ops(&self.post, r, frame, p, c, cbank);
-        });
+    /// Runs the post-part over the active lanes, whose frame starts at
+    /// local row `frame` (from [`Trampoline::post_frame`]).
+    pub(crate) fn run_post(&self, w: &mut Warp, frame: usize, cbank: &[u8]) {
+        let act = Active::new(w.active);
+        let top = w.store_local_rows(frame);
+        run_ops(&self.post, &act, w, top, cbank);
     }
 }
 
-/// Calls `f` for every active lane, in ascending order, with the lane's
-/// registers, local slab, predicate bits and carry flag.
+/// The warp's register file and its stored local memory as lane rows
+/// (local rows top down, see [`Warp::store_local_rows`]).
+fn rows(w: &mut Warp) -> (&mut [LaneRow], &mut [LaneRow]) {
+    (w.regs.as_chunks_mut().0, w.local.as_chunks_mut().0)
+}
+
+/// The active lanes of a fused part. Ops compute all 32 lanes — every
+/// fused op is a pure word operation, so inactive lanes compute
+/// harmless values — and write back only the active ones: a whole-row
+/// copy on a full warp, a branch-free per-lane select otherwise.
+struct Active {
+    full: bool,
+    /// All ones in active lanes, zero elsewhere.
+    sel: LaneRow,
+}
+
+impl Active {
+    fn new(mask: LaneMask) -> Active {
+        Active {
+            full: mask == FULL_MASK,
+            sel: std::array::from_fn(|l| 0u32.wrapping_sub(mask >> l & 1)),
+        }
+    }
+
+    /// Writes `v` into the active lanes of `dst`.
+    #[inline(always)]
+    fn put(&self, dst: &mut LaneRow, v: &LaneRow) {
+        if self.full {
+            *dst = *v;
+        } else {
+            for l in 0..32 {
+                dst[l] = (v[l] & self.sel[l]) | (dst[l] & !self.sel[l]);
+            }
+        }
+    }
+
+    /// Whether lane `l` is active.
+    #[inline(always)]
+    fn on(&self, l: usize) -> bool {
+        self.sel[l] != 0
+    }
+}
+
+/// An operand's value in every lane.
 #[inline(always)]
-fn for_each_lane(w: &mut Warp, mut f: impl FnMut(&mut [u32], &mut [u8], &mut u8, &mut bool)) {
-    let rpt = w.regs_per_thread() as usize;
-    let slab = w.local_bytes() as usize;
+fn row(s: TSrc, regs: &[LaneRow], cbank: &[u8]) -> LaneRow {
+    match s {
+        TSrc::Reg(i) => regs[i as usize],
+        TSrc::Imm(v) => [v; 32],
+        TSrc::C0(o) => [c0_read_img(cbank, o); 32],
+    }
+}
+
+/// Runs `ops` op by op over the warp's active lanes. The frame's first
+/// row is stored row `top`; frame offset `off` is stored row
+/// `top - off / 4`, since stored rows run top down.
+fn run_ops(ops: &[TOp], act: &Active, w: &mut Warp, top: usize, cbank: &[u8]) {
     let Warp {
         regs,
         local,
         preds,
         cc,
-        active,
         ..
     } = w;
-    let mut m = *active;
-    while m != 0 {
-        let lane = m.trailing_zeros() as usize;
-        m &= m - 1;
-        f(
-            &mut regs[lane * rpt..][..rpt],
-            &mut local[lane * slab..][..slab],
-            &mut preds[lane],
-            &mut cc[lane],
-        );
-    }
-}
-
-#[inline(always)]
-fn put(frame: &mut [u8], off: u16, v: u32) {
-    let off = off as usize;
-    frame[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-#[inline(always)]
-fn get(frame: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(frame[off..off + 4].try_into().expect("a 4-byte range"))
-}
-
-#[inline(always)]
-fn val(s: TSrc, r: &[u32], cbank: &[u8]) -> u32 {
-    match s {
-        TSrc::Reg(i) => r[i as usize],
-        TSrc::Imm(v) => v,
-        TSrc::C0(o) => c0_read_img(cbank, o),
-    }
-}
-
-/// Runs `ops` for one lane: `r` is its register file, `frame` its stack
-/// frame, `p` and `c` its predicate bits and carry flag.
-fn run_ops(ops: &[TOp], r: &mut [u32], frame: &mut [u8], p: &mut u8, c: &mut bool, cbank: &[u8]) {
+    let (regs, local) = (regs.as_chunks_mut().0, local.as_chunks_mut().0);
+    let slot = |off: u16| top - (off >> 2) as usize;
     for op in ops {
         match *op {
-            TOp::Mov { d, a } => r[d as usize] = val(a, r, cbank),
-            TOp::Add { d, a, b, x, cc } => {
-                let cin = if x { *c as u64 } else { 0 };
-                let sum = val(a, r, cbank) as u64 + val(b, r, cbank) as u64 + cin;
-                if d != RZ {
-                    r[d as usize] = sum as u32;
-                }
-                if cc {
-                    *c = sum >> 32 != 0;
-                }
+            TOp::Mov { d, a } => {
+                let a = row(a, regs, cbank);
+                act.put(&mut regs[d as usize], &a);
             }
-            TOp::Lop { d, op, a, b, inv_b } => {
-                let bv = val(b, r, cbank);
-                r[d as usize] = op.eval(val(a, r, cbank), if inv_b { !bv } else { bv });
-            }
-            TOp::Sel {
+            TOp::Add {
                 d,
                 a,
                 b,
-                p: pi,
-                neg,
+                x,
+                cc: set_cc,
             } => {
-                let taken = (pi == PT || *p & (1 << pi) != 0) != neg;
-                r[d as usize] = if taken {
-                    val(a, r, cbank)
-                } else {
-                    val(b, r, cbank)
-                };
+                let (a, b) = (row(a, regs, cbank), row(b, regs, cbank));
+                let sum: [u64; 32] =
+                    std::array::from_fn(|l| a[l] as u64 + b[l] as u64 + (x && cc[l]) as u64);
+                if d != RZ {
+                    act.put(&mut regs[d as usize], &sum.map(|s| s as u32));
+                }
+                if set_cc {
+                    for l in 0..32 {
+                        cc[l] = if act.on(l) { sum[l] >> 32 != 0 } else { cc[l] };
+                    }
+                }
             }
-            TOp::P2R { d } => r[d as usize] = (*p & 0x7f) as u32,
-            TOp::R2P { a } => *p = (val(a, r, cbank) & 0x7f) as u8,
-            TOp::St { off, v } => put(frame, off, val(v, r, cbank)),
-            TOp::Ld { d, off } => r[d as usize] = get(frame, off as usize),
+            TOp::Lop { d, op, a, b, inv_b } => {
+                let (a, b) = (row(a, regs, cbank), row(b, regs, cbank));
+                let v = std::array::from_fn(|l| op.eval(a[l], if inv_b { !b[l] } else { b[l] }));
+                act.put(&mut regs[d as usize], &v);
+            }
+            TOp::Sel { d, a, b, p, neg } => {
+                let (a, b) = (row(a, regs, cbank), row(b, regs, cbank));
+                let v = std::array::from_fn(|l| {
+                    let taken = (p == PT || preds[l] & (1 << p) != 0) != neg;
+                    if taken {
+                        a[l]
+                    } else {
+                        b[l]
+                    }
+                });
+                act.put(&mut regs[d as usize], &v);
+            }
+            TOp::P2R { d } => act.put(&mut regs[d as usize], &preds.map(|p| (p & 0x7f) as u32)),
+            TOp::R2P { a } => {
+                let a = row(a, regs, cbank);
+                for l in 0..32 {
+                    preds[l] = if act.on(l) {
+                        (a[l] & 0x7f) as u8
+                    } else {
+                        preds[l]
+                    };
+                }
+            }
+            TOp::St { off, v } => act.put(&mut local[slot(off)], &row(v, regs, cbank)),
+            TOp::Ld { d, off } => act.put(&mut regs[d as usize], &local[slot(off)]),
+            // `lanes` walks the set bits of any mask: here, registers.
             TOp::StRegs { base, mask } => {
-                let mut m = mask;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    put(frame, base + 4 * i as u16, r[i]);
+                for i in lanes(mask) {
+                    act.put(&mut local[slot(base) - i], &regs[i]);
                 }
             }
             TOp::LdRegs { base, mask } => {
-                let mut m = mask;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    r[i] = get(frame, base as usize + 4 * i);
+                for i in lanes(mask) {
+                    act.put(&mut regs[i], &local[slot(base) - i]);
                 }
             }
         }
@@ -855,10 +887,7 @@ mod tests {
                 v: TSrc::Reg(2)
             }]
         );
-        assert_eq!(
-            (&*t.frame_runs, &*t.frame_bytes),
-            (&[(4, 0, 4)][..], &9u32.to_le_bytes()[..])
-        );
+        assert_eq!(&*t.frame, &[(4, 9)]);
         assert_eq!(&*t.reg_imm, &[(3, 9)]);
         assert_eq!((t.pre_end, t.post_end), (8, 4));
         // Stores at 1, 3, 5; ALU µops at 0, 2, 4 (lat 2); trap at 6.
@@ -869,6 +898,33 @@ mod tests {
         assert_eq!(t.pre_issue.total(), 7);
         assert_eq!(t.post_issue.total(), 2);
         assert_eq!(d.get(1).unwrap().class, crate::stats::IssueClass::Memory);
+    }
+
+    #[test]
+    fn parts_fuse_only_on_a_shared_aligned_in_slab_frame() {
+        let m = module_of(tiny());
+        let d = m.decoded();
+        let t = d.trampoline_at(0).expect("tiny window fuses");
+        let mut w = Warp::new(0, 0, 0, u32::MAX, 8, 256);
+        // R1 = 256 on every lane: the pushed frame starts at 240.
+        assert_eq!(t.pre_frame(&w), Some(240 / 4));
+        assert_eq!(t.post_frame(&w), None, "a frame at the slab's top");
+        // Lanes that disagree on R1 fall back, unless only the lanes
+        // that agree are active.
+        w.regs[32 + 7] = 128;
+        assert_eq!(t.pre_frame(&w), None);
+        w.active = !(1 << 7);
+        assert_eq!(t.pre_frame(&w), Some(240 / 4));
+        w.active = 1 << 7;
+        assert_eq!(t.pre_frame(&w), Some(112 / 4));
+        // A misaligned frame pointer, a frame below the slab (the push
+        // wraps) and a warp without active lanes fall back too.
+        w.regs[32..64].fill(130);
+        assert_eq!(t.pre_frame(&w), None);
+        w.regs[32..64].fill(8);
+        assert_eq!(t.pre_frame(&w), None);
+        w.active = 0;
+        assert_eq!(t.pre_frame(&w), None);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   `SSY`/`SYNC` reconvergence ([`Warp`]), block barriers, warp-wide
 //!   votes and shuffles, predication, register pairs, carry chains.
 //! * **Memory** — per-lane address generation feeding the coalescer and
-//!   L1/L2/DRAM timing model of [`sassi_mem`], with full functional
+//!   L1/L2/DRAM timing model of [`sassi_mem`] (each SM has a private
+//!   L1, L2 and DRAM channel), with full functional
 //!   backing storage and fault detection (out-of-bounds, misalignment,
 //!   stack and shared violations become [`FaultKind`]s, the raw
 //!   material of the paper's error-injection study).

@@ -1,5 +1,5 @@
-//! Warp state: the SIMT divergence stack, per-lane register file slice,
-//! call stack and scheduling status.
+//! Warp state: the SIMT divergence stack, the warp's register file and
+//! local memory as lane rows, call stack and scheduling status.
 //!
 //! The divergence model follows NVIDIA's stack-based reconvergence
 //! (paper §5): `SSY` pushes a reconvergence token; a divergent branch
@@ -72,14 +72,22 @@ pub struct Warp {
     pub ready_at: u64,
     /// Scheduling status.
     pub status: WarpStatus,
-    /// Per-lane 32-bit registers, `lane * regs_per_thread + r`.
+    /// The register file as lane rows: register `r` of lane `l` is
+    /// `regs[32 * r + l]`, so each register is one contiguous 32-word
+    /// row (`regs_per_thread` rows).
     pub regs: Vec<u32>,
     /// Per-lane predicate files (bits 0..6 = P0..P6).
     pub preds: [u8; 32],
     /// Per-lane carry flags.
     pub cc: [bool; 32],
-    /// Per-lane local-memory slabs, concatenated.
-    pub local: Vec<u8>,
+    /// Local memory as word-interleaved lane rows: byte `a` of lane `l`
+    /// is byte `a & 3` (little-endian) of word `l` of row `a >> 2`. Each
+    /// lane owns `local_bytes` bytes, so a lane's slab has no contiguous
+    /// storage; [`Warp::read_local`] and [`Warp::write_local`] move byte
+    /// ranges. Rows are stored top down — the row at the top of the
+    /// slab, where the stack starts, first — and only as deep as the
+    /// warp has written: rows below read as zero and take no memory.
+    pub(crate) local: Vec<u32>,
     regs_per_thread: u32,
     local_bytes: u32,
 }
@@ -108,21 +116,20 @@ impl Warp {
             regs: vec![0; 32 * regs_per_thread as usize],
             preds: [0; 32],
             cc: [false; 32],
-            local: vec![0; 32 * local_bytes as usize],
+            local: Vec::new(),
             regs_per_thread,
             local_bytes,
         };
         // ABI: R1 is the stack pointer, initialized to the top of the
         // thread's local slab (stack grows down).
-        for lane in 0..32 {
-            w.set_reg(lane, Gpr::SP, local_bytes);
-        }
+        w.reset_sp();
         w
     }
 
     /// Reinitializes a retired warp in place for a new block, reusing
-    /// the register-file and local-slab allocations (the capacities are
-    /// kept; contents are zeroed as `new` would).
+    /// the register-file and local-memory allocations (the capacities
+    /// and stored local rows are kept; contents are zeroed as `new`
+    /// would).
     pub fn reset(
         &mut self,
         cta: usize,
@@ -148,15 +155,20 @@ impl Warp {
         }
         if self.local_bytes != local_bytes {
             self.local_bytes = local_bytes;
-            self.local.resize(32 * local_bytes as usize, 0);
+            self.local.truncate(32 * self.local_rows());
         }
         self.regs.fill(0);
         self.local.fill(0);
         self.preds = [0; 32];
         self.cc = [false; 32];
-        for lane in 0..32 {
-            self.set_reg(lane, Gpr::SP, local_bytes);
-        }
+        self.reset_sp();
+    }
+
+    /// ABI: R1 is the stack pointer, initialized to the top of the
+    /// thread's local slab (stack grows down).
+    fn reset_sp(&mut self) {
+        let sp = 32 * Gpr::SP.index() as usize;
+        self.regs[sp..sp + 32].fill(self.local_bytes);
     }
 
     /// Registers provisioned per thread.
@@ -179,7 +191,8 @@ impl Warp {
             "R{} unprovisioned",
             r.index()
         );
-        self.regs[lane * self.regs_per_thread as usize + r.index() as usize]
+        debug_assert!(lane < 32);
+        self.regs[32 * r.index() as usize + lane]
     }
 
     /// Writes lane `lane`'s register `r` (writes to `RZ` are dropped).
@@ -192,7 +205,8 @@ impl Warp {
             "R{} unprovisioned",
             r.index()
         );
-        self.regs[lane * self.regs_per_thread as usize + r.index() as usize] = v;
+        debug_assert!(lane < 32);
+        self.regs[32 * r.index() as usize + lane] = v;
     }
 
     /// Reads a register pair as a 64-bit value.
@@ -226,16 +240,100 @@ impl Warp {
         }
     }
 
-    /// The local slab of one lane.
-    pub fn lane_local(&self, lane: usize) -> &[u8] {
-        let b = self.local_bytes as usize;
-        &self.local[lane * b..(lane + 1) * b]
+    /// Rows of 32-bit words in a lane's local slab.
+    fn local_rows(&self) -> usize {
+        self.local_bytes.div_ceil(4) as usize
     }
 
-    /// The local slab of one lane, mutably.
-    pub fn lane_local_mut(&mut self, lane: usize) -> &mut [u8] {
-        let b = self.local_bytes as usize;
-        &mut self.local[lane * b..(lane + 1) * b]
+    /// Index in `local` of word `lane` of row `row` (which may lie past
+    /// the stored rows). Panics on a lane or row outside the warp's
+    /// local memory rather than alias another lane's word.
+    fn local_index(&self, row: usize, lane: usize) -> usize {
+        assert!(
+            lane < 32 && row < self.local_rows(),
+            "local word out of range"
+        );
+        32 * (self.local_rows() - 1 - row) + lane
+    }
+
+    /// Stores rows `row..` of local memory, so they can be written, and
+    /// returns the position of row `row` among the stored rows (which
+    /// run top down: stored row `i` is slab row `local_rows - 1 - i`).
+    pub(crate) fn store_local_rows(&mut self, row: usize) -> usize {
+        let depth = self.local_rows() - 1 - row;
+        if self.local.len() < 32 * (depth + 1) {
+            self.local.resize(32 * (depth + 1), 0);
+        }
+        depth
+    }
+
+    /// Row `row` of local memory across the warp (zero if never
+    /// written).
+    pub fn local_row(&self, row: usize) -> [u32; 32] {
+        let i = self.local_index(row, 0);
+        self.local
+            .get(i..i + 32)
+            .map_or([0; 32], |r| r.try_into().unwrap())
+    }
+
+    /// Whether bytes `addr..addr + len` lie inside a lane's local slab.
+    fn local_fits(&self, addr: u64, len: usize) -> bool {
+        addr.checked_add(len as u64)
+            .is_some_and(|end| end <= self.local_bytes as u64)
+    }
+
+    /// Copies lane `lane`'s local bytes `addr..addr + buf.len()` into
+    /// `buf`. Returns `false`, having copied nothing, if the range
+    /// leaves the lane's slab. Any alignment works: a misaligned range
+    /// straddles rows byte by byte.
+    pub fn read_local(&self, lane: usize, addr: u64, buf: &mut [u8]) -> bool {
+        if !self.local_fits(addr, buf.len()) {
+            return false;
+        }
+        let a = addr as usize;
+        let word = |row| {
+            let i = self.local_index(row, lane);
+            self.local.get(i).copied().unwrap_or(0)
+        };
+        if a.is_multiple_of(4) && buf.len().is_multiple_of(4) {
+            for (k, w) in buf.chunks_exact_mut(4).enumerate() {
+                w.copy_from_slice(&word(a / 4 + k).to_le_bytes());
+            }
+        } else {
+            for (k, b) in buf.iter_mut().enumerate() {
+                let x = a + k;
+                *b = (word(x >> 2) >> (8 * (x & 3))) as u8;
+            }
+        }
+        true
+    }
+
+    /// Copies `bytes` into lane `lane`'s local memory at `addr`.
+    /// Returns `false`, having written nothing, if the range leaves the
+    /// lane's slab. Any alignment works, as in [`Warp::read_local`].
+    pub fn write_local(&mut self, lane: usize, addr: u64, bytes: &[u8]) -> bool {
+        if !self.local_fits(addr, bytes.len()) {
+            return false;
+        }
+        if bytes.is_empty() {
+            return true;
+        }
+        let a = addr as usize;
+        self.store_local_rows(a >> 2);
+        if a.is_multiple_of(4) && bytes.len().is_multiple_of(4) {
+            for (k, w) in bytes.chunks_exact(4).enumerate() {
+                let i = self.local_index(a / 4 + k, lane);
+                self.local[i] = u32::from_le_bytes(w.try_into().unwrap());
+            }
+        } else {
+            for (k, &b) in bytes.iter().enumerate() {
+                let x = a + k;
+                let shift = 8 * (x & 3);
+                let i = self.local_index(x >> 2, lane);
+                self.local[i] = (self.local[i] & !(0xff << shift)) | (b as u32) << shift;
+            }
+        }
+        true
     }
 
     /// Iterates the active lane indices (ascending, allocation-free).
@@ -459,7 +557,7 @@ mod tests {
         used.set_reg(3, Gpr::new(7), 0xdead);
         used.set_pred(3, PredReg::new(2), true);
         used.cc[5] = true;
-        used.lane_local_mut(1)[10] = 0x55;
+        assert!(used.write_local(1, 10, &[0x55]));
         used.push_ssy(40);
         used.call_stack.push(9);
         used.exit_lanes(0xffff_ffff);
@@ -479,7 +577,7 @@ mod tests {
         assert_eq!(used.regs, fresh.regs);
         assert_eq!(used.preds, fresh.preds);
         assert_eq!(used.cc, fresh.cc);
-        assert_eq!(used.local, fresh.local);
+        assert!((0..64).all(|r| used.local_row(r) == fresh.local_row(r)));
     }
 
     #[test]
@@ -489,16 +587,67 @@ mod tests {
         assert_eq!(w.regs_per_thread(), 48);
         assert_eq!(w.local_bytes(), 512);
         assert_eq!(w.regs.len(), 32 * 48);
-        assert_eq!(w.local.len(), 32 * 512);
+        assert!(w.write_local(0, 508, &[1; 4]) && !w.write_local(0, 509, &[1; 4]));
+        assert_eq!(w.local.len(), 32, "only the top row is stored");
         assert_eq!(w.reg(0, Gpr::SP), 512);
     }
 
     #[test]
     fn lane_local_slabs_disjoint() {
         let mut w = w();
-        w.lane_local_mut(0)[0] = 0xaa;
-        w.lane_local_mut(1)[0] = 0xbb;
-        assert_eq!(w.lane_local(0)[0], 0xaa);
-        assert_eq!(w.lane_local(1)[0], 0xbb);
+        assert!(w.write_local(0, 0, &[0xaa]));
+        assert!(w.write_local(1, 0, &[0xbb]));
+        let (mut a, mut b) = ([0u8], [0u8]);
+        assert!(w.read_local(0, 0, &mut a) && w.read_local(1, 0, &mut b));
+        assert_eq!((a[0], b[0]), (0xaa, 0xbb));
+    }
+
+    #[test]
+    fn local_bytes_are_word_interleaved_little_endian() {
+        let mut w = w();
+        assert!(w.write_local(3, 8, &0x4433_2211u32.to_le_bytes()));
+        assert_eq!(w.local_row(2)[3], 0x4433_2211);
+        // A misaligned range straddles two rows of the same lane.
+        assert!(w.write_local(3, 6, &[0xaa, 0xbb, 0xcc, 0xdd]));
+        assert_eq!(w.local_row(1)[3], 0xbbaa_0000);
+        assert_eq!(w.local_row(2)[3], 0x4433_ddcc);
+        let mut buf = [0u8; 5];
+        assert!(w.read_local(3, 5, &mut buf));
+        assert_eq!(buf, [0, 0xaa, 0xbb, 0xcc, 0xdd]);
+        assert!((0..64).all(|r| w.local_row(r)[2] == 0 && w.local_row(r)[4] == 0));
+    }
+
+    #[test]
+    fn local_rows_are_stored_only_as_deep_as_written() {
+        let mut w = w();
+        assert!(w.local.is_empty(), "a fresh warp stores no local rows");
+        let mut buf = [9u8; 4];
+        assert!(w.read_local(7, 0, &mut buf));
+        assert_eq!(buf, [0; 4], "unstored rows read as zero");
+        // The top row (bytes 252..256) first, then down to row 60.
+        assert!(w.write_local(7, 254, &[1, 2]));
+        assert_eq!(w.local.len(), 32);
+        assert!(w.write_local(7, 242, &[3, 4, 5, 6]));
+        assert_eq!(w.local.len(), 32 * (64 - 60));
+        assert!(w.read_local(7, 242, &mut buf));
+        assert_eq!(buf, [3, 4, 5, 6]);
+        assert_eq!(w.local_row(63)[7], 0x0201_0000);
+        // Reset keeps the stored rows, zeroed.
+        w.reset(0, 0, 0, 1, 32, 256);
+        assert_eq!(w.local.len(), 32 * 4);
+        assert!((0..64).all(|r| w.local_row(r) == [0; 32]));
+    }
+
+    #[test]
+    fn local_ranges_past_the_slab_are_refused_whole() {
+        let mut w = w();
+        assert!(w.write_local(0, 252, &[1; 4]));
+        assert!(!w.write_local(0, 253, &[2; 4]));
+        assert!(!w.write_local(0, u64::MAX, &[2]));
+        let mut buf = [9u8; 8];
+        assert!(!w.read_local(0, 250, &mut buf));
+        assert_eq!(buf, [9; 8], "a refused read copies nothing");
+        assert!(w.read_local(0, 248, &mut buf));
+        assert_eq!(buf, [0, 0, 0, 0, 1, 1, 1, 1]);
     }
 }

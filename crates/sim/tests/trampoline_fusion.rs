@@ -14,6 +14,11 @@
 //! The unfused oracle is the same instrumented function with each push
 //! written as the equivalent `ISUB` (see `common::defeat_fusion`), which
 //! decode does not recognize as a window.
+//!
+//! A fused part runs op-major over the warp and needs every active lane
+//! to share one word-aligned frame pointer; kernels that skew R1 per
+//! lane or misalign it (see [`Frame`]) must fall back to µop-by-µop
+//! execution and still match the oracle byte for byte.
 
 mod common;
 
@@ -68,13 +73,26 @@ fn ld(d: Gpr, addr: MemAddr) -> Instr {
     })
 }
 
+/// Where the kernel leaves each lane's stack pointer after its own push.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Frame {
+    /// Every lane at the same word-aligned frame (what compiled code
+    /// produces).
+    Uniform,
+    /// Odd lanes 8 bytes below even lanes: the lanes disagree on R1.
+    Split,
+    /// Every lane 2 bytes below a word boundary.
+    Misaligned,
+}
+
 /// A kernel with lane-varying registers, predicates and carry, lanes
 /// retired by a guarded `EXIT`, and a body covering every trampoline
 /// shape: plain, guarded and carry-reading register writes, predicate
 /// writes, global/local/shared loads and stores, and a divergent
-/// conditional branch (unless `straight`). It ends by dumping its
-/// registers, predicates and carry flag to the output buffer.
-fn kernel(seeds: &[u32], straight: bool) -> Function {
+/// conditional branch (unless `straight`), whose sites run on partial
+/// active masks. It ends by dumping its registers, predicates and
+/// carry flag to the output buffer.
+fn kernel(seeds: &[u32], straight: bool, frame: Frame) -> Function {
     let mut c = vec![
         // Own stack frame, so local accesses through R1 are in bounds.
         iadd(Gpr::SP, Gpr::SP, Src::Imm((-32i32) as u32), false, false),
@@ -110,6 +128,33 @@ fn kernel(seeds: &[u32], straight: bool) -> Function {
         iadd(g(18), g(16), Src::Reg(g(24)), false, true),
         iadd(g(19), g(17), Src::Reg(Gpr::RZ), true, false),
     ];
+    let skew = match frame {
+        Frame::Uniform => None,
+        // R26 = (tid & 1) << 3.
+        Frame::Split => Some(vec![
+            op(Op::Lop {
+                d: g(26),
+                op: LogicOp::And,
+                a: g(0),
+                b: Src::Imm(1),
+                inv_b: false,
+            }),
+            op(Op::Shl {
+                d: g(26),
+                a: g(26),
+                b: Src::Imm(3),
+            }),
+        ]),
+        Frame::Misaligned => Some(vec![op(Op::Mov32I { d: g(26), imm: 2 })]),
+    };
+    if let Some(skew) = skew {
+        c.extend(skew);
+        c.push(op(Op::ISub {
+            d: Gpr::SP,
+            a: Gpr::SP,
+            b: Src::Reg(g(26)),
+        }));
+    }
     // Lane-varying register values.
     for (i, r) in [2u8, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 21]
         .into_iter()
@@ -214,7 +259,7 @@ fn kernel(seeds: &[u32], straight: bool) -> Function {
         block_headers,
         frame_bytes: 32,
         shared_bytes: 4 * 64,
-        reg_high_water: 26,
+        reg_high_water: 27,
         uses_barrier: false,
     };
     Function::new("k", c, meta)
@@ -247,9 +292,9 @@ impl Obs {
     }
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+fn fnv(words: &[u32]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        (h ^ *w as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
@@ -264,7 +309,9 @@ fn observe(w: &Warp, cta: u32, seq: u32, cycle: u64) -> Obs {
         regs: w.regs.clone(),
         preds: w.preds,
         cc: w.cc,
-        local: fnv(&w.local),
+        local: fnv(&(0..w.local_bytes() as usize / 4)
+            .flat_map(|r| w.local_row(r))
+            .collect::<Vec<u32>>()),
     }
 }
 
@@ -397,8 +444,8 @@ fn sorted_functional(log: &[Obs]) -> Vec<Obs> {
     v
 }
 
-fn check(seeds: &[u32], threads: u32, s: Sites) {
-    let plain = kernel(seeds, false);
+fn check(seeds: &[u32], threads: u32, s: Sites, frame: Frame) {
+    let plain = kernel(seeds, false, frame);
     let inst = instrumentor(&s, &Log::default()).apply(&plain, 0);
     let fused = Module::link(std::slice::from_ref(&inst)).unwrap();
     let unfused = Module::link(&[defeat_fusion(&inst)]).unwrap();
@@ -410,7 +457,7 @@ fn check(seeds: &[u32], threads: u32, s: Sites) {
     let dims = LaunchDims::linear(2, threads);
     let f = run(&fused, &s, dims, ExecMode::Decoded, true);
     let u = run(&unfused, &s, dims, ExecMode::Decoded, true);
-    let ctx = format!("{s:?}, threads {threads}");
+    let ctx = format!("{s:?}, threads {threads}, {frame:?} frame");
     assert!(f.result.outcome.is_ok(), "{ctx}: {:?}", f.result.outcome);
     assert_eq!(
         f.result, u.result,
@@ -481,7 +528,29 @@ proptest! {
             both,
             mutate,
         };
-        check(&seeds, threads, sites);
+        check(&seeds, threads, sites, Frame::Uniform);
+    }
+
+    /// Lanes that disagree on R1, or share a misaligned R1, cannot run
+    /// a window op-major: every part falls back to the unfused µops and
+    /// must match the oracle exactly, on full and partial warps.
+    #[test]
+    fn skewed_frame_pointers_fall_back_exactly(
+        seeds in prop::collection::vec(any::<u32>(), 38..39),
+        threads in 1u32..65,
+        shape in (0u8..4, any::<bool>(), any::<bool>(), any::<bool>()),
+        misaligned in any::<bool>(),
+    ) {
+        let (what, after, save_all, mutate) = shape;
+        let sites = Sites {
+            after,
+            what: extra(what),
+            policy: if save_all { SpillPolicy::SaveEverything } else { SpillPolicy::Liveness },
+            both: false,
+            mutate,
+        };
+        let frame = if misaligned { Frame::Misaligned } else { Frame::Split };
+        check(&seeds, threads, sites, frame);
     }
 }
 
@@ -503,7 +572,7 @@ fn every_site_shape_is_exact() {
                         both: false,
                         mutate,
                     };
-                    check(&seeds, 48, s);
+                    check(&seeds, 48, s, Frame::Uniform);
                 }
             }
         }
@@ -526,7 +595,7 @@ fn bare_trap_after_a_window_sees_the_same_ready_at() {
         both: false,
         mutate: false,
     };
-    let inst = instrumentor(&s, &Log::default()).apply(&kernel(&seeds, true), 0);
+    let inst = instrumentor(&s, &Log::default()).apply(&kernel(&seeds, true, Frame::Uniform), 0);
     let mut code = Vec::new();
     for ins in &inst.instrs {
         code.push(ins.clone());
