@@ -13,7 +13,7 @@ const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table
   --jobs N     worker threads per sweep (default: SASSI_JOBS or available parallelism)
   fig10 runs   injections per workload (positive integer, default 150)
   fig10-site   rerun one Figure 10 injection alone (site index in the workload's plan; SEED defaults to the fig10 campaign seed)
-  hotloop      decoded (serial + CTA-parallel) vs reference comparison -> results/timings/sim_hot_loop.json";
+  hotloop      decoded (block-stepped + single-stepped) vs reference comparison -> results/timings/sim_hot_loop.json";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("repro: {msg}");
@@ -162,7 +162,7 @@ fn main() {
         }
         "hotloop" => {
             no_args(&cli);
-            hotloop(cli.jobs);
+            hotloop();
         }
         "all" => {
             no_args(&cli);
@@ -334,23 +334,21 @@ fn ablation_stub(jobs: usize) -> bool {
     true
 }
 
-fn hotloop(jobs: usize) {
+fn hotloop() {
     // Not part of `all`: it deliberately re-runs workloads on the slow
     // reference interpreter, and `all`'s wall time is itself a tracked
     // perf artifact.
-    let report = hotloop_cmp::compare(jobs);
+    let report = hotloop_cmp::compare();
     println!("Hot-loop comparison: pre-decoded µop interpreter vs reference (seed) semantics");
     println!(
-        "  workloads: {} | jobs={} | {} warp instrs ({} thread instrs)",
+        "  workloads: {} | {} warp instrs ({} thread instrs)",
         report.workloads.join(", "),
-        report.jobs,
         report.decoded.warp_instrs,
         report.decoded.thread_instrs
     );
     for (label, run) in [
         ("decoded", &report.decoded),
         ("single-step", &report.single_step),
-        ("parallel", &report.parallel),
         ("reference", &report.reference),
         ("instrumented", &report.instrumented),
     ] {
@@ -363,10 +361,6 @@ fn hotloop(jobs: usize) {
     println!(
         "  block speedup: {:.2}x (single-step wall / block-stepped wall)",
         report.block_speedup
-    );
-    println!(
-        "  parallel speedup: {:.2}x (decoded serial wall / CTA-parallel wall, {} shard workers)",
-        report.parallel_speedup, report.jobs
     );
     println!(
         "  instrumented overhead: {:.2}x wall vs native decoded (branch study, {} handler calls)",

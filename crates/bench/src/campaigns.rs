@@ -11,7 +11,7 @@
 //! returned as a [`FailedWorkload`] or [`FailedInjection`] while its
 //! siblings finish, so one bad workload cannot abort a long sweep.
 
-use crate::exec::{run_units_contained, split_jobs, Timing, WorkloadCache};
+use crate::exec::{run_units_contained, Timing, WorkloadCache};
 use sassi_studies::inject::{self, InjectionCampaign, InjectionSite};
 use sassi_studies::{branch, memdiv, overhead, value};
 use sassi_workloads::{fig10_set, fig7_set, table1_set, table2_set, table3_set, Workload};
@@ -56,34 +56,21 @@ fn split_failed<R>(
 /// Fans one study function across a workload set, one unit per
 /// workload, returning rows in set order. A workload whose study
 /// panics has no row; it is returned as a [`FailedWorkload`] instead,
-/// after every other workload has finished.
-///
-/// The `jobs` budget is split by [`split_jobs`]: outer workers claim
-/// whole workloads; any leftover budget is passed to the study as its
-/// inner CTA-shard job count. Studies that cannot parallelize a launch
-/// (stateful injection, closure handlers) simply ignore the second
-/// argument.
+/// after every other workload has finished. Up to `jobs` workers each
+/// claim whole workloads.
 pub fn per_workload<R: Send>(
     jobs: usize,
     label: &str,
     names: &[String],
-    study: impl Fn(&dyn Workload, usize) -> R + Sync,
+    study: impl Fn(&dyn Workload) -> R + Sync,
 ) -> Sweep<R> {
-    let split = split_jobs(jobs, names.len());
-    if split.degraded {
-        eprintln!(
-            "[{label}] jobs={jobs} over {} units: outer workers take the whole \
-             budget, inner CTA jobs degraded to 1",
-            names.len()
-        );
-    }
     let (results, timing) = run_units_contained(
-        split.outer,
+        jobs,
         names,
         WorkloadCache::default,
         |cache, name: &String, _| {
             eprintln!("[{label}] {name}");
-            study(cache.get(name), split.inner)
+            study(cache.get(name))
         },
     );
     let (rows, failed) = split_failed(names, results);
@@ -96,48 +83,34 @@ pub type Sweep<R> = (Vec<R>, Timing, Vec<FailedWorkload>);
 
 /// Table 1: branch-divergence statistics.
 pub fn table1(jobs: usize) -> Sweep<branch::BranchStudy> {
-    per_workload(jobs, "table1", &set_names(table1_set()), |w, inner| {
-        branch::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "table1", &set_names(table1_set()), branch::run)
 }
 
 /// Figure 5: per-branch profiles for bfs 1M vs UT.
 pub fn fig5(jobs: usize) -> Sweep<branch::BranchStudy> {
     let names = ["bfs (1M)", "bfs (UT)"].map(String::from);
-    per_workload(jobs, "fig5", &names, |w, inner| {
-        branch::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig5", &names, branch::run)
 }
 
 /// Figure 7: memory-divergence PMFs.
 pub fn fig7(jobs: usize) -> Sweep<memdiv::MemDivStudy> {
-    per_workload(jobs, "fig7", &set_names(fig7_set()), |w, inner| {
-        memdiv::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig7", &set_names(fig7_set()), memdiv::run)
 }
 
 /// Figure 8: miniFE CSR vs ELL access matrices.
 pub fn fig8(jobs: usize) -> Sweep<memdiv::MemDivStudy> {
     let names = ["miniFE (CSR)", "miniFE (ELL)"].map(String::from);
-    per_workload(jobs, "fig8", &names, |w, inner| {
-        memdiv::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "fig8", &names, memdiv::run)
 }
 
 /// Table 2: value profiling.
 pub fn table2(jobs: usize) -> Sweep<value::ValueRow> {
-    per_workload(jobs, "table2", &set_names(table2_set()), |w, inner| {
-        value::run_with_jobs(w, inner)
-    })
+    per_workload(jobs, "table2", &set_names(table2_set()), value::run)
 }
 
-/// Table 3: instrumentation overheads. The overhead study times
-/// serial launches (its slowdown model assumes one SM worker), so it
-/// ignores the inner job share.
+/// Table 3: instrumentation overheads.
 pub fn table3(jobs: usize) -> Sweep<overhead::OverheadRow> {
-    per_workload(jobs, "table3", &set_names(table3_set()), |w, _inner| {
-        overhead::run(w)
-    })
+    per_workload(jobs, "table3", &set_names(table3_set()), overhead::run)
 }
 
 /// A Figure 10 injection that panicked instead of ending in an
@@ -268,7 +241,7 @@ pub fn fig10(runs: usize, seed: u64, jobs: usize) -> Fig10Sweep {
 /// §9.1 stub-handler ablation rows.
 pub fn ablation_stub(jobs: usize) -> Sweep<overhead::OverheadRow> {
     let names = ["nn", "sad", "kmeans", "stencil", "spmv (small)"].map(String::from);
-    per_workload(jobs, "ablation-stub", &names, |w, _inner| overhead::run(w))
+    per_workload(jobs, "ablation-stub", &names, overhead::run)
 }
 
 /// One row of the liveness-ablation table.
@@ -296,7 +269,7 @@ pub fn ablation_spill(jobs: usize) -> Sweep<SpillRow> {
         "miniFE (CSR)",
     ]
     .map(String::from);
-    per_workload(jobs, "ablation-spill", &names, |w, _inner| {
+    per_workload(jobs, "ablation-spill", &names, |w| {
         let (live_saves, all_saves) = overhead::spill_ablation(w);
         let (k_live, k_all) = overhead::run_spill_policy_ablation(w);
         SpillRow {

@@ -49,37 +49,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// How a `--jobs` budget splits between outer (per-unit) workers and
-/// inner (per-CTA-shard) workers inside each unit's kernel launches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct JobSplit {
-    /// Worker threads claiming whole units.
-    pub outer: usize,
-    /// CTA-shard worker threads per launch inside each unit.
-    pub inner: usize,
-    /// Whether inner parallelism was degraded to 1 because the outer
-    /// level already consumed the budget.
-    pub degraded: bool,
-}
-
-/// Splits a job budget between outer units and inner CTA shards so the
-/// two levels multiply to at most `jobs` instead of oversubscribing.
-/// Outer workers win (unit-level parallelism has no merge overhead);
-/// leftover budget goes to inner CTA workers. A pure function of
-/// `(jobs, units)` — never of runtime load — so a sweep's split, and
-/// therefore its schedule shape, is reproducible.
-pub fn split_jobs(jobs: usize, units: usize) -> JobSplit {
-    let jobs = jobs.max(1);
-    let outer = jobs.min(units.max(1));
-    let share = jobs / outer;
-    let inner = if share >= 2 { share } else { 1 };
-    JobSplit {
-        outer,
-        inner,
-        degraded: share < 2 && jobs > outer,
-    }
-}
-
 /// Wall-clock and throughput accounting for one sweep.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct Timing {
@@ -272,63 +241,6 @@ mod tests {
                 }
             }
             assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
-        }
-    }
-
-    #[test]
-    fn split_jobs_is_deterministic_and_never_oversubscribes() {
-        // Budget fits the units: all outer, no inner.
-        assert_eq!(
-            split_jobs(4, 8),
-            JobSplit {
-                outer: 4,
-                inner: 1,
-                degraded: false
-            }
-        );
-        // Budget exceeds units but not 2x: inner degraded to 1.
-        assert_eq!(
-            split_jobs(4, 3),
-            JobSplit {
-                outer: 3,
-                inner: 1,
-                degraded: true
-            }
-        );
-        // Budget at least doubles the units: leftover goes inner.
-        assert_eq!(
-            split_jobs(8, 3),
-            JobSplit {
-                outer: 3,
-                inner: 2,
-                degraded: false
-            }
-        );
-        // Single unit: everything goes inner.
-        assert_eq!(
-            split_jobs(4, 1),
-            JobSplit {
-                outer: 1,
-                inner: 4,
-                degraded: false
-            }
-        );
-        // Degenerate inputs clamp instead of panicking.
-        assert_eq!(
-            split_jobs(0, 0),
-            JobSplit {
-                outer: 1,
-                inner: 1,
-                degraded: false
-            }
-        );
-        // Never oversubscribed: outer * inner <= jobs for any inputs.
-        for jobs in 1..=32 {
-            for units in 0..=16 {
-                let s = split_jobs(jobs, units);
-                assert!(s.outer * s.inner <= jobs, "jobs={jobs} units={units}");
-                assert!(s.outer >= 1 && s.inner >= 1);
-            }
         }
     }
 

@@ -8,11 +8,10 @@ use sassi_bench::campaigns::{self, FailedWorkload};
 fn a_panicking_workload_is_reported_by_name_and_its_siblings_finish() {
     let names = ["nn", "gaussian", "bfs (UT)"].map(String::from);
     for jobs in [1, 3] {
-        let (rows, timing, failed) =
-            campaigns::per_workload(jobs, "test-contain", &names, |w, _| {
-                assert!(w.name() != "gaussian", "study of {} failed", w.name());
-                w.name()
-            });
+        let (rows, timing, failed) = campaigns::per_workload(jobs, "test-contain", &names, |w| {
+            assert!(w.name() != "gaussian", "study of {} failed", w.name());
+            w.name()
+        });
         assert_eq!(rows, ["nn", "bfs (UT)"], "jobs {jobs}");
         assert_eq!(timing.units, 3);
         assert_eq!(

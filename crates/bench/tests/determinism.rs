@@ -6,10 +6,13 @@
 //! compare the *serialized* results — the same bytes `save_json`
 //! writes under `results/`.
 
+use parking_lot::Mutex;
 use sassi_bench::campaigns;
-use sassi_studies::{branch, inject, memdiv, value};
+use sassi_rt::{ModuleBuilder, Runtime};
+use sassi_studies::{branch, inject};
 use sassi_workloads::by_name;
 use serde::Serialize;
+use std::sync::Arc;
 
 fn json<T: Serialize>(v: &T) -> String {
     serde_json::to_string_pretty(v).expect("serialize")
@@ -51,88 +54,53 @@ fn site_lists_are_a_pure_function_of_the_campaign_inputs() {
 #[test]
 fn branch_sweep_is_identical_across_job_counts() {
     let names = ["nn", "bfs (UT)", "gaussian"].map(String::from);
-    let study =
-        |w: &dyn sassi_workloads::Workload, inner: usize| branch::run_with_jobs(w, inner).row;
+    let study = |w: &dyn sassi_workloads::Workload| branch::run(w).row;
     let (serial, _, f1) = campaigns::per_workload(1, "test-branch", &names, study);
     let (parallel, _, f4) = campaigns::per_workload(4, "test-branch", &names, study);
-    // jobs=8 over 3 units leaves a share of 2 for inner CTA workers,
-    // exercising the split path as well.
-    let (split, _, f8) = campaigns::per_workload(8, "test-branch", &names, study);
+    // More workers than units: the pool clamps to the unit count.
+    let (clamped, _, f8) = campaigns::per_workload(8, "test-branch", &names, study);
     assert!(f1.is_empty() && f4.is_empty() && f8.is_empty());
     assert_eq!(json(&serial), json(&parallel));
-    assert_eq!(json(&serial), json(&split));
+    assert_eq!(json(&serial), json(&clamped));
     // Rows come back in set order, not completion order.
     let row_names: Vec<&str> = serial.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(row_names, ["nn", "bfs (UT)", "gaussian"]);
 }
 
 #[test]
-fn instrumented_smoke_matches_serial_under_env_jobs() {
-    // The CI instrumented-smoke gate: one branch-study launch driven at
-    // whatever `SASSI_JOBS` and `SASSI_BLOCK_STEP` the matrix leg sets
-    // (jobs 1/4 × block-step 0/1 in CI), with the serialized study
-    // output asserted byte-identical to the pinned single-step serial
-    // run. Locally, with the env unset, this still exercises the
-    // machine's available parallelism and the default block-stepped
-    // scheduler against that baseline.
-    let jobs = sassi_bench::exec::default_jobs();
+fn branch_study_is_identical_across_block_step() {
+    // Block batching must never leak into instruction-derived study
+    // output: with `block_step` off and on, the branch study's handler
+    // state and every launch record (cycles aside) are identical.
     let w = by_name("nn").expect("workload");
-    let serial = branch::run_with_config(w.as_ref(), 1, Some(false));
-    let under_env = branch::run_with_jobs(w.as_ref(), jobs);
-    assert!(
-        serial.row.dynamic_total > 0,
-        "smoke launch must execute branches"
-    );
+    let cells = [false, true].map(|block_step| {
+        let state = Arc::new(Mutex::new(branch::BranchState::default()));
+        let mut sassi = branch::instrumentor(state.clone());
+        let mut mb = ModuleBuilder::new();
+        for k in w.kernels() {
+            mb.add_kernel(k);
+        }
+        let module = mb.build(Some(&sassi)).expect("build");
+        let mut rt = Runtime::with_defaults();
+        rt.device.block_step = block_step;
+        let out = w.execute(&mut rt, &module, &mut sassi);
+        assert!(out.is_ok(), "block_step={block_step}: {:?}", out.err());
+        let mut branches: Vec<_> = state
+            .lock()
+            .branches
+            .iter()
+            .map(|(a, s)| (*a, *s))
+            .collect();
+        branches.sort_by_key(|&(addr, _)| addr);
+        let mut records = rt.records().to_vec();
+        for r in &mut records {
+            r.result.stats.cycles = 0;
+        }
+        (branches, records)
+    });
+    assert!(!cells[0].0.is_empty(), "the study must see branches");
     assert_eq!(
-        json(&serial.row),
-        json(&under_env.row),
-        "branch study output diverges between the pinned serial single-step \
-         run and cta_jobs={jobs} under the environment's block-step setting"
+        cells[0], cells[1],
+        "branch study diverges under block stepping"
     );
-}
-
-#[test]
-fn branch_study_is_identical_across_block_step_and_jobs() {
-    // The full four-cell matrix in one process: the branch study's
-    // serialized row must be byte-identical across
-    // `cta_jobs` ∈ {1, 4} × `block_step` ∈ {off, on} — scheduling
-    // (parallelism and block batching) must never leak into
-    // instruction-derived study output.
-    let w = by_name("nn").expect("workload");
-    let baseline = json(&branch::run_with_config(w.as_ref(), 1, Some(false)).row);
-    for (jobs, block_step) in [(1, true), (4, false), (4, true)] {
-        assert_eq!(
-            baseline,
-            json(&branch::run_with_config(w.as_ref(), jobs, Some(block_step)).row),
-            "branch study diverges at cta_jobs={jobs}, block_step={block_step}"
-        );
-    }
-}
-
-#[test]
-fn instrumented_studies_are_identical_across_inner_job_counts() {
-    // The tentpole guarantee at the study level: running the CTA shards
-    // of every launch on 4 workers must leave each handler's merged
-    // state — and therefore the serialized study row — byte-identical
-    // to the serial run, for all three instrumentation case studies.
-    for name in ["nn", "bfs (UT)", "hotspot"] {
-        let w = by_name(name).expect("workload");
-        assert_eq!(
-            json(&branch::run_with_jobs(w.as_ref(), 1).row),
-            json(&branch::run_with_jobs(w.as_ref(), 4).row),
-            "branch study diverges on {name}"
-        );
-        let m1 = memdiv::run_with_jobs(w.as_ref(), 1);
-        let m4 = memdiv::run_with_jobs(w.as_ref(), 4);
-        assert_eq!(
-            json(&(&m1.pmf, &m1.fully_diverged, &m1.matrix)),
-            json(&(&m4.pmf, &m4.fully_diverged, &m4.matrix)),
-            "memdiv study diverges on {name}"
-        );
-        assert_eq!(
-            json(&value::run_with_jobs(w.as_ref(), 1)),
-            json(&value::run_with_jobs(w.as_ref(), 4)),
-            "value study diverges on {name}"
-        );
-    }
 }

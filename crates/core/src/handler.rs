@@ -92,42 +92,16 @@ impl<'c> SiteCtx<'_, 'c> {
     }
 }
 
-/// A shard-local fork of a [`Handler`], for CTA-parallel launches.
-///
-/// The `handler` half receives one SM shard's site visits on that
-/// shard's worker thread; `join` is called on the launching thread —
-/// in canonical shard order, after every shard has finished — to merge
-/// the shard's accumulated state back into the parent handler.
-pub struct HandlerShard {
-    /// The forked handler driven by the shard.
-    pub handler: Box<dyn Handler>,
-    /// Merges the shard's state into the parent handler.
-    pub join: Box<dyn FnOnce() + Send>,
-}
-
 /// User instrumentation code, invoked per warp at each site.
 pub trait Handler: Send {
     /// Handles one site visit. The returned [`HandlerCost`] is charged
     /// to the trapping warp as execution cycles.
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost;
-
-    /// Forks a shard-local handler whose state can later be merged
-    /// back, or `None` if this handler's state is order-dependent (the
-    /// device then runs the launch's CTA shards sequentially, which is
-    /// always correct). The default is `None`; handlers whose state
-    /// merges commutatively should opt in.
-    fn fork(&self) -> Option<HandlerShard> {
-        None
-    }
 }
 
 impl<H: Handler + ?Sized> Handler for Box<H> {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
         (**self).handle(ctx)
-    }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        (**self).fork()
     }
 }
 
@@ -138,10 +112,6 @@ impl<H: Handler> Handler for Arc<Mutex<H>> {
     fn handle(&mut self, ctx: &mut SiteCtx<'_, '_>) -> HandlerCost {
         self.lock().handle(ctx)
     }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        self.lock().fork()
-    }
 }
 
 /// Reusable per-trap scratch buffers for handlers.
@@ -151,9 +121,7 @@ impl<H: Handler> Handler for Arc<Mutex<H>> {
 /// the duration of that single trap. Buffer *capacity* persists across
 /// traps, so steady-state handler execution performs no heap
 /// allocation; buffer *contents* do not survive a trap — state a
-/// handler accumulates across traps belongs in its study state (the
-/// part that merges on shard join). [`Handler::fork`] gives each CTA
-/// shard a fresh `Scratch` (`Default`), never a shared one.
+/// handler accumulates across traps belongs in its study state.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Lane indices.

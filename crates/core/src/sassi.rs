@@ -5,7 +5,7 @@ use crate::handler::{Handler, SiteCtx};
 use crate::pass;
 use crate::spec::{HandlerRef, InfoFlags, InstPoint, InstrumentSpec, SiteFilter, SpillPolicy};
 use sassi_isa::Function;
-use sassi_sim::{HandlerCost, HandlerRuntime, RuntimeShard, TrapCtx, TrapRef, TrapSite};
+use sassi_sim::{HandlerCost, HandlerRuntime, TrapCtx, TrapRef, TrapSite};
 
 struct NativeEntry {
     handler: Box<dyn Handler>,
@@ -202,40 +202,5 @@ impl HandlerRuntime for Sassi {
         }));
         self.bound.clear();
         self.bound.extend_from_slice(sites);
-    }
-
-    /// Forks the whole instrumentor for one SM shard: every native
-    /// handler must fork ([`Handler::fork`]), or the launch stays
-    /// sequential. The composed join merges each handler's shard state
-    /// in registration order.
-    fn fork_shard(&self) -> Option<RuntimeShard> {
-        let mut natives = Vec::with_capacity(self.natives.len());
-        let mut joins = Vec::with_capacity(self.natives.len());
-        for entry in &self.natives {
-            let shard = entry.handler.fork()?;
-            natives.push(NativeEntry {
-                handler: shard.handler,
-                what: entry.what,
-                point: entry.point,
-            });
-            joins.push(shard.join);
-        }
-        // Forked runtimes start unbound; the device binds each one to
-        // the launching module's site table before running its shard.
-        let forked = Sassi {
-            specs: self.specs.clone(),
-            natives,
-            policy: self.policy,
-            slots: Vec::new(),
-            bound: Vec::new(),
-        };
-        Some(RuntimeShard {
-            runtime: Box::new(forked),
-            join: Box::new(move || {
-                for join in joins {
-                    join();
-                }
-            }),
-        })
     }
 }

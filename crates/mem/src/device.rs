@@ -64,50 +64,13 @@ pub fn apply_atom(op: AtomOp, old: u64, v: u64, v2: u64, wide: bool) -> u64 {
     r & m
 }
 
-/// One global-memory effect recorded by a forked shard view, replayable
-/// against the master heap with [`DeviceMemory::commit`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JournalOp {
-    /// A plain store of up to 16 bytes (wider writes are chunked).
-    Store {
-        /// Destination generic address.
-        addr: u64,
-        /// Number of valid bytes in `data`.
-        len: u8,
-        /// The stored bytes (prefix of length `len`).
-        data: [u8; 16],
-    },
-    /// An atomic read-modify-write, re-applied (not replayed by value)
-    /// so commutative cross-shard reductions combine correctly.
-    Atom {
-        /// The operation.
-        op: AtomOp,
-        /// Target generic address.
-        addr: u64,
-        /// First operand.
-        v: u64,
-        /// Second operand (CAS swap value; 0 otherwise).
-        v2: u64,
-        /// 64-bit access.
-        wide: bool,
-    },
-}
-
 /// Global device memory: a heap of bytes starting at
 /// [`GLOBAL_HEAP_BASE`] in the generic address space.
-///
-/// A heap can be [`fork`](DeviceMemory::fork)ed into a shard-private
-/// view that journals every write; committing the journal back with
-/// [`commit`](DeviceMemory::commit) re-applies stores by value and
-/// atomics by operation, so independent shards whose only cross-CTA
-/// communication is commutative reductions merge deterministically.
 #[derive(Clone, Debug)]
 pub struct DeviceMemory {
     bytes: Vec<u8>,
     next: u64,                    // next free offset
     allocations: Vec<(u64, u64)>, // [start, end) generic addresses
-    /// `Some` on forked shard views: every mutation is recorded here.
-    journal: Option<Vec<JournalOp>>,
 }
 
 impl DeviceMemory {
@@ -117,52 +80,6 @@ impl DeviceMemory {
             bytes: vec![0; capacity],
             next: 0,
             allocations: Vec::new(),
-            journal: None,
-        }
-    }
-
-    /// Forks a shard-private view of the heap: a copy of the used
-    /// prefix (not the full capacity) with journaling enabled. Shards
-    /// never allocate, so the shrunken capacity is unobservable.
-    pub fn fork(&self) -> DeviceMemory {
-        DeviceMemory {
-            bytes: self.bytes[..self.next as usize].to_vec(),
-            next: self.next,
-            allocations: self.allocations.clone(),
-            journal: Some(Vec::new()),
-        }
-    }
-
-    /// Takes the accumulated journal, leaving journaling off. Returns
-    /// an empty journal on a non-forked heap.
-    pub fn take_journal(&mut self) -> Vec<JournalOp> {
-        self.journal.take().unwrap_or_default()
-    }
-
-    /// Replays a shard journal against this heap: stores land by value,
-    /// atomics re-apply their operation against the current contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a journal entry faults, which cannot happen when the
-    /// journal came from a fork of this heap (same allocation map).
-    pub fn commit(&mut self, journal: &[JournalOp]) {
-        for op in journal {
-            match *op {
-                JournalOp::Store { addr, len, data } => self
-                    .write_bytes(addr, &data[..len as usize])
-                    .expect("journal store within allocations"),
-                JournalOp::Atom {
-                    op,
-                    addr,
-                    v,
-                    v2,
-                    wide,
-                } => {
-                    self.atomic(op, addr, v, v2, wide)
-                        .expect("journal atomic within allocations");
-                }
-            }
         }
     }
 
@@ -217,24 +134,11 @@ impl DeviceMemory {
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         let off = self.offset(addr, data.len() as u32)?;
         self.bytes[off..off + data.len()].copy_from_slice(data);
-        if let Some(journal) = &mut self.journal {
-            for (i, chunk) in data.chunks(16).enumerate() {
-                let mut buf = [0u8; 16];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                journal.push(JournalOp::Store {
-                    addr: addr + 16 * i as u64,
-                    len: chunk.len() as u8,
-                    data: buf,
-                });
-            }
-        }
         Ok(())
     }
 
     /// Performs an atomic read-modify-write at `addr` and returns the
-    /// *old* value. On a forked view the operation (not the resulting
-    /// value) is journaled, so commutative reductions from concurrent
-    /// shards combine correctly at commit time.
+    /// *old* value.
     ///
     /// # Errors
     ///
@@ -253,24 +157,10 @@ impl DeviceMemory {
             self.read_u32(addr)? as u64
         };
         let new = apply_atom(op, old, v, v2, wide);
-        // Suppress the Store journaling of the internal write: the
-        // effect is recorded as an `Atom` entry instead.
-        let journal = self.journal.take();
-        let wrote = if wide {
-            self.write_u64(addr, new)
+        if wide {
+            self.write_u64(addr, new)?;
         } else {
-            self.write_u32(addr, new as u32)
-        };
-        self.journal = journal;
-        wrote?;
-        if let Some(journal) = &mut self.journal {
-            journal.push(JournalOp::Atom {
-                op,
-                addr,
-                v,
-                v2,
-                wide,
-            });
+            self.write_u32(addr, new as u32)?;
         }
         Ok(old)
     }
@@ -405,46 +295,5 @@ mod tests {
         // CAS: succeeds only when old matches the compare value.
         assert_eq!(m.atomic(AtomOp::Cas, a, 15, 99, false).unwrap(), 15);
         assert_eq!(m.read_u32(a).unwrap(), 99);
-    }
-
-    #[test]
-    fn fork_commit_replays_stores_and_combines_atomics() {
-        let mut m = DeviceMemory::new(1 << 12);
-        let a = m.alloc(64, 8).unwrap();
-        m.write_u32(a, 100).unwrap();
-
-        let mut f1 = m.fork();
-        let mut f2 = m.fork();
-        // Disjoint stores plus a shared commutative accumulator.
-        f1.write_u32(a + 8, 11).unwrap();
-        f1.atomic(AtomOp::Add, a, 3, 0, false).unwrap();
-        f2.write_u32(a + 12, 22).unwrap();
-        f2.atomic(AtomOp::Add, a, 4, 0, false).unwrap();
-        // Each fork saw only its own delta on top of the base value.
-        assert_eq!(f1.read_u32(a).unwrap(), 103);
-        assert_eq!(f2.read_u32(a).unwrap(), 104);
-
-        let j1 = f1.take_journal();
-        let j2 = f2.take_journal();
-        m.commit(&j1);
-        m.commit(&j2);
-        assert_eq!(m.read_u32(a).unwrap(), 107); // both deltas land
-        assert_eq!(m.read_u32(a + 8).unwrap(), 11);
-        assert_eq!(m.read_u32(a + 12).unwrap(), 22);
-        // Master is not a journaling view.
-        assert!(m.take_journal().is_empty());
-    }
-
-    #[test]
-    fn wide_stores_are_chunked_in_the_journal() {
-        let mut m = DeviceMemory::new(1 << 12);
-        let a = m.alloc(64, 8).unwrap();
-        let mut f = m.fork();
-        let data: Vec<u8> = (0..40u8).collect();
-        f.write_bytes(a, &data).unwrap();
-        let journal = f.take_journal();
-        assert_eq!(journal.len(), 3); // 16 + 16 + 8
-        m.commit(&journal);
-        assert_eq!(m.read_bytes(a, 40).unwrap(), &data[..]);
     }
 }

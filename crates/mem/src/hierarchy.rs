@@ -1,11 +1,12 @@
-//! The assembled memory hierarchy: per-SM L1s over one L2 over DRAM,
-//! fed by the coalescer.
+//! The assembled memory hierarchy of one SM: an L1 over an L2 over
+//! DRAM, fed by the coalescer.
 //!
-//! A [`MemoryHierarchy`] built for several SMs shares its L2 and DRAM
-//! among them. The simulator's device does not use that form: it
-//! builds one single-SM hierarchy per SM slot, so during a launch each
-//! SM has its own L1, its own full-size L2 and its own DRAM channel,
-//! and no SM sees another's L2 hits or DRAM traffic.
+//! The simulator's device builds one hierarchy per SM slot, so during a
+//! launch each SM has its own L1, its own full-size L2 and its own DRAM
+//! channel, and no SM sees another's L2 hits or DRAM traffic. SMs run
+//! one after another, so a shared L2 would show each SM the whole
+//! launch's traffic of the SMs before it as if it came first; private
+//! hierarchies are the honest model of that schedule.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::coalesce::coalesce_batch;
@@ -15,9 +16,9 @@ use serde::{Deserialize, Serialize};
 /// Hierarchy-wide configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyConfig {
-    /// Per-SM L1 geometry.
+    /// L1 geometry.
     pub l1: CacheConfig,
-    /// L2 geometry (one L2 per hierarchy; see the module docs).
+    /// L2 geometry.
     pub l2: CacheConfig,
     /// DRAM timing.
     pub dram: DramConfig,
@@ -49,7 +50,7 @@ pub struct HierarchyStats {
     pub warp_accesses: u64,
     /// Coalesced line transactions generated.
     pub transactions: u64,
-    /// Combined L1 statistics.
+    /// L1 statistics.
     pub l1: CacheStats,
     /// L2 statistics.
     pub l2: CacheStats,
@@ -59,7 +60,7 @@ pub struct HierarchyStats {
 
 impl HierarchyStats {
     /// Accumulates another hierarchy's counters into this one (used to
-    /// merge per-shard hierarchies after a CTA-parallel launch).
+    /// merge the per-SM hierarchies of one launch).
     pub fn merge(&mut self, other: &HierarchyStats) {
         self.warp_accesses += other.warp_accesses;
         self.transactions += other.transactions;
@@ -82,12 +83,12 @@ pub struct AccessOutcome {
     pub transactions: u32,
 }
 
-/// The device memory hierarchy (timing side only — data moves through
+/// One SM's memory hierarchy (timing side only — data moves through
 /// [`crate::DeviceMemory`]).
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
-    l1s: Vec<Cache>,
+    l1: Cache,
     l2: Cache,
     dram: Dram,
     warp_accesses: u64,
@@ -95,11 +96,11 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy for `num_sms` streaming multiprocessors.
-    pub fn new(num_sms: usize, cfg: HierarchyConfig) -> MemoryHierarchy {
+    /// Builds an empty hierarchy.
+    pub fn new(cfg: HierarchyConfig) -> MemoryHierarchy {
         MemoryHierarchy {
             cfg,
-            l1s: (0..num_sms).map(|_| Cache::new(cfg.l1)).collect(),
+            l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             dram: Dram::new(cfg.dram),
             warp_accesses: 0,
@@ -114,7 +115,6 @@ impl MemoryHierarchy {
     /// `AccessOutcome::ready_at`.
     pub fn access_global(
         &mut self,
-        sm: usize,
         now: u64,
         addrs: &[u64],
         width_bytes: u32,
@@ -126,7 +126,7 @@ impl MemoryHierarchy {
         let mut ready = now;
         for &line_addr in co.lines() {
             self.transactions += 1;
-            let t = if self.l1s[sm].access(line_addr, write) {
+            let t = if self.l1.access(line_addr, write) {
                 now + self.cfg.l1_latency
             } else if self.l2.access(line_addr, write) {
                 now + self.cfg.l1_latency + self.cfg.l2_latency
@@ -154,17 +154,10 @@ impl MemoryHierarchy {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> HierarchyStats {
-        let mut l1 = CacheStats::default();
-        for c in &self.l1s {
-            let s = c.stats();
-            l1.hits += s.hits;
-            l1.misses += s.misses;
-            l1.writebacks += s.writebacks;
-        }
         HierarchyStats {
             warp_accesses: self.warp_accesses,
             transactions: self.transactions,
-            l1,
+            l1: self.l1.stats(),
             l2: self.l2.stats(),
             dram_transactions: self.dram.transactions(),
         }
@@ -172,9 +165,7 @@ impl MemoryHierarchy {
 
     /// Resets caches, DRAM queue and counters.
     pub fn reset(&mut self) {
-        for c in &mut self.l1s {
-            c.reset();
-        }
+        self.l1.reset();
         self.l2.reset();
         self.dram.reset();
         self.warp_accesses = 0;
@@ -187,14 +178,14 @@ mod tests {
     use super::*;
 
     fn h() -> MemoryHierarchy {
-        MemoryHierarchy::new(2, HierarchyConfig::default())
+        MemoryHierarchy::new(HierarchyConfig::default())
     }
 
     #[test]
     fn coalesced_access_is_one_transaction() {
         let mut m = h();
         let addrs = vec![0x1000u64; 32];
-        let out = m.access_global(0, 0, &addrs, 4, false);
+        let out = m.access_global(0, &addrs, 4, false);
         assert_eq!(out.transactions, 1);
         assert!(out.ready_at > 0);
     }
@@ -204,9 +195,9 @@ mod tests {
         let mut m = h();
         let coalesced: Vec<u64> = (0..32).map(|i| 0x1_0000 + 4 * i as u64).collect();
         let diverged: Vec<u64> = (0..32).map(|i| 0x8_0000 + 4096 * i as u64).collect();
-        let a = m.access_global(0, 0, &coalesced, 4, false);
+        let a = m.access_global(0, &coalesced, 4, false);
         let mut m2 = h();
-        let b = m2.access_global(0, 0, &diverged, 4, false);
+        let b = m2.access_global(0, &diverged, 4, false);
         assert!(b.ready_at > a.ready_at, "diverged {b:?} vs coalesced {a:?}");
         assert_eq!(b.transactions, 32);
     }
@@ -215,25 +206,15 @@ mod tests {
     fn l1_hit_is_fast_on_reuse() {
         let mut m = h();
         let addrs = vec![0x2000u64];
-        let first = m.access_global(0, 0, &addrs, 4, false);
-        let second = m.access_global(0, first.ready_at, &addrs, 4, false);
+        let first = m.access_global(0, &addrs, 4, false);
+        let second = m.access_global(first.ready_at, &addrs, 4, false);
         assert_eq!(second.ready_at - first.ready_at, 28);
-    }
-
-    #[test]
-    fn l1s_are_private_per_sm() {
-        let mut m = h();
-        let addrs = vec![0x3000u64];
-        m.access_global(0, 0, &addrs, 4, false);
-        // SM 1 misses its own L1 but hits the shared L2.
-        let out = m.access_global(1, 1000, &addrs, 4, false);
-        assert_eq!(out.ready_at - 1000, 28 + 160);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let mut m = h();
-        m.access_global(0, 0, &[0x1000, 0x2000], 4, true);
+        m.access_global(0, &[0x1000, 0x2000], 4, true);
         let s = m.stats();
         assert_eq!(s.warp_accesses, 1);
         assert_eq!(s.transactions, 2);

@@ -108,25 +108,6 @@ impl Runtime {
         Runtime::new(Device::with_defaults())
     }
 
-    /// Sets how many worker threads execute the CTA shards of each
-    /// launch (the inner half of the `SASSI_JOBS` budget). Launch
-    /// results are byte-identical for any value; `1` (the default)
-    /// runs shards sequentially on the calling thread.
-    pub fn set_cta_jobs(&mut self, jobs: usize) -> &mut Runtime {
-        self.device.cta_jobs = jobs.max(1);
-        self
-    }
-
-    /// Forces the decoded interpreter's block-stepped scheduler on or
-    /// off for this runtime's device, overriding the process-wide
-    /// `SASSI_BLOCK_STEP` default. Functional results and
-    /// instruction-derived statistics are identical either way; only
-    /// cycle-derived numbers shift.
-    pub fn set_block_step(&mut self, on: bool) -> &mut Runtime {
-        self.device.block_step = on;
-        self
-    }
-
     /// Allocates a device buffer (`cudaMalloc`).
     ///
     /// # Panics

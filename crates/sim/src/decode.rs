@@ -561,11 +561,12 @@ impl DecodedModule {
 
     /// Whether the module contains a global (or generic) atomic whose
     /// old value can be observed by the program: an `ATOM` writing a
-    /// live destination, or any CAS/EXCH. Such kernels see a total
-    /// order over cross-CTA atomics, so CTA-parallel launches fall back
-    /// to sequential shard execution. `RED`-style fire-and-forget
-    /// reductions (destination-less or `RZ`) are commutative deltas and
-    /// do not set this.
+    /// live destination, or any CAS/EXCH. A consumed old value feeds
+    /// the intra-SM warp interleaving back into the instruction stream,
+    /// so such kernels always single-step (block stepping would change
+    /// that interleaving). `RED`-style fire-and-forget reductions
+    /// (destination-less or `RZ`) are commutative deltas and do not set
+    /// this.
     pub fn has_consuming_global_atomics(&self) -> bool {
         self.consuming_global_atomics
     }

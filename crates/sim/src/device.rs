@@ -7,28 +7,17 @@
 //! control divergence serializes paths exactly as the divergence stack
 //! dictates.
 //!
-//! # SM-worker execution model
+//! # SM shard schedule
 //!
 //! A launch's CTAs are partitioned round-robin over `min(num_sms,
 //! total_blocks)` *shards* — CTA `i` goes to shard `i % shards`, a pure
 //! function of launch geometry. Each shard models one SM: its own warp
 //! contexts, CTA slots, memory hierarchy and [`LaunchStats`]
-//! accumulator, with its own cycle loop. Shard results merge in
-//! canonical shard order (work counters sum, `cycles` takes the max),
-//! so the merged result is independent of how shards were scheduled.
-//!
-//! [`Device::cta_jobs`] chooses how many worker threads execute the
-//! shards (worker `k` runs shards `k`, `k + jobs`, …). Parallel workers
-//! need private global-memory views: each shard gets a
-//! [`DeviceMemory::fork`] whose write journal is committed back in
-//! shard order, and the handler runtime must split via
-//! [`HandlerRuntime::fork_shard`]. Kernels whose global atomics
-//! *consume* the old value (CAS/EXCH or `ATOM` with a live
-//! destination) observe a cross-CTA total order, so such launches —
-//! and launches whose runtime declines to fork — run their shards
-//! sequentially on the calling thread instead, which is always
-//! deterministic. Fire-and-forget `RED` reductions are commutative and
-//! parallelize fine.
+//! accumulator, with its own cycle loop. Shards run one after another
+//! on the calling thread, in shard order, against the one global heap
+//! and the one handler runtime. Their results merge in that order:
+//! work counters sum, `cycles` takes the max, and the lowest-numbered
+//! faulting shard reports the fault.
 
 use crate::config::{GpuConfig, LaunchDims};
 use crate::decode::{DSrc, DecodedInstr, DecodedModule, UOp, GUARD_ALWAYS};
@@ -42,7 +31,7 @@ use sassi_isa::{
     ShflMode, SpecialReg, VoteMode,
 };
 use sassi_mem::{
-    apply_atom, DeviceMemory, HierarchyConfig, HierarchyStats, JournalOp, MemError, MemoryHierarchy,
+    apply_atom, DeviceMemory, HierarchyConfig, HierarchyStats, MemError, MemoryHierarchy,
 };
 use std::fmt;
 
@@ -97,39 +86,20 @@ pub struct Device {
     /// Which interpreter loop `launch` runs (defaults to the decoded
     /// fast path; flip to `Reference` for differential testing).
     pub exec_mode: ExecMode,
-    /// Worker threads executing SM shards of one launch. `1` (the
-    /// default) runs shards sequentially on the calling thread; higher
-    /// values fork per-shard memory views and handler runtimes and run
-    /// shards on a fixed-size pool. Results are merged in canonical
-    /// shard order, so they are identical for any value.
+    /// Ignored: SM shards always run one after another on the calling
+    /// thread. Kept, at `1`, only for callers that still read it.
     pub cta_jobs: usize,
     /// Whether the decoded interpreter runs warps to their basic-block
     /// boundary per scheduler visit (the default) instead of one µop
     /// per visit. Block stepping preserves functional semantics and
     /// all instruction-derived statistics; only cycle-derived numbers
     /// shift (intra-block memory stalls overlap instead of
-    /// serializing). Defaults from the `SASSI_BLOCK_STEP` environment
-    /// variable (`0` → single-step); the reference interpreter and
+    /// serializing). Defaults to `true`; the reference interpreter and
     /// kernels with consuming global atomics (whose instruction
     /// streams observe warp interleaving) always single-step.
     pub block_step: bool,
     slots: Vec<SmSlot>,
     warp_allocations: u64,
-}
-
-/// Process-wide default for [`Device::block_step`]: `false` iff
-/// `SASSI_BLOCK_STEP` is set to `0` (the debugging / A-B escape
-/// hatch), `true` otherwise. Read once and cached — flip the field on
-/// the device (or use `Runtime::set_block_step`) for programmatic
-/// control within a process.
-pub fn block_step_env_default() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        !matches!(
-            std::env::var("SASSI_BLOCK_STEP").as_deref().map(str::trim),
-            Ok("0")
-        )
-    })
 }
 
 /// Persistent per-SM execution state, recycled across launches. Each
@@ -146,36 +116,13 @@ struct SmSlot {
 impl SmSlot {
     fn new(cfg: HierarchyConfig) -> SmSlot {
         SmSlot {
-            hier: MemoryHierarchy::new(1, cfg),
+            hier: MemoryHierarchy::new(cfg),
             warps: Vec::new(),
             ctas: Vec::new(),
             free_warps: Vec::new(),
             free_ctas: Vec::new(),
         }
     }
-}
-
-/// The launch-wide immutable inputs shared by every shard.
-struct ShardEnv<'a> {
-    cfg: &'a GpuConfig,
-    module: &'a Module,
-    decoded: &'a DecodedModule,
-    mode: ExecMode,
-    kernel: &'a LinkedFunction,
-    dims: LaunchDims,
-    cbank: Vec<u8>,
-    launch_index: u64,
-    max_cycles: u64,
-    block_step: bool,
-}
-
-/// One shard's contribution to the launch result.
-struct ShardOut {
-    outcome: KernelOutcome,
-    stats: LaunchStats,
-    mem_stats: HierarchyStats,
-    journal: Vec<JournalOp>,
-    warp_allocs: u64,
 }
 
 impl Device {
@@ -186,7 +133,7 @@ impl Device {
             mem: DeviceMemory::new(heap_bytes),
             exec_mode: ExecMode::default(),
             cta_jobs: 1,
-            block_step: block_step_env_default(),
+            block_step: true,
             slots: Vec::new(),
             warp_allocations: 0,
         }
@@ -248,154 +195,71 @@ impl Device {
         while self.slots.len() < num_shards {
             self.slots.push(SmSlot::new(self.cfg.hierarchy));
         }
-        // CTA i runs on shard i % num_shards: a pure function of launch
-        // geometry, so shard contents are identical for any job count.
-        let queues: Vec<Vec<u32>> = (0..num_shards as u32)
-            .map(|s| (s..total).step_by(num_shards).collect())
-            .collect();
         let decoded = module.decoded();
         // Let the runtime pre-resolve per-site dispatch state once per
-        // launch, before any trap fires (forked shard runtimes are
-        // bound below, after forking).
+        // launch, before any trap fires.
         runtime.bind_sites(decoded.sites());
-        let env = ShardEnv {
-            cfg: &self.cfg,
-            module,
-            decoded,
-            mode: self.exec_mode,
-            kernel: kf,
-            dims,
-            cbank: build_cbank0(&self.cfg, kf, dims, params),
-            launch_index,
-            max_cycles,
-            // The reference interpreter is the cycle-exact oracle for
-            // the decoded path, so it always single-steps. Kernels with
-            // consuming atomics also single-step: block stepping
-            // coarsens the intra-SM warp interleaving, and a consumed
-            // old value (CAS winners, `atom` destinations) feeds that
-            // interleaving back into the instruction stream — the same
-            // hazard that gates CTA-parallel shard forking below. All
-            // other kernels' instruction-derived statistics are
-            // interleaving-independent.
-            block_step: self.block_step
-                && self.exec_mode == ExecMode::Decoded
-                && !decoded.has_consuming_global_atomics(),
-        };
+        let cbank = build_cbank0(&self.cfg, kf, dims, params);
+        // The reference interpreter is the cycle-exact oracle for the
+        // decoded path, so it always single-steps. Kernels with
+        // consuming atomics also single-step: block stepping coarsens
+        // the intra-SM warp interleaving, and a consumed old value (CAS
+        // winners, `atom` destinations) feeds that interleaving back
+        // into the instruction stream. All other kernels'
+        // instruction-derived statistics are interleaving-independent.
+        let block_step = self.block_step
+            && self.exec_mode == ExecMode::Decoded
+            && !decoded.has_consuming_global_atomics();
 
-        let jobs = self.cta_jobs.max(1).min(num_shards);
-        // Parallel shards need private memory views, which is only
-        // sound when no CTA consumes another CTA's atomic results, and
-        // a handler runtime whose state can be forked and merged.
-        let forks = if jobs > 1 && num_shards > 1 && !decoded.has_consuming_global_atomics() {
-            let mut v = Vec::with_capacity(num_shards);
-            for _ in 0..num_shards {
-                match runtime.fork_shard() {
-                    Some(f) => v.push(f),
-                    None => break,
-                }
-            }
-            (v.len() == num_shards).then_some(v)
-        } else {
-            None
-        };
-
-        let mut joins: Vec<Option<Box<dyn FnOnce() + Send>>> = Vec::new();
-        let outs: Vec<ShardOut> = match forks {
-            Some(forks) => {
-                let mut runtimes: Vec<Box<dyn HandlerRuntime + Send>> =
-                    Vec::with_capacity(num_shards);
-                for f in forks {
-                    let mut rt = f.runtime;
-                    rt.bind_sites(decoded.sites());
-                    runtimes.push(rt);
-                    joins.push(Some(f.join));
-                }
-                let mems: Vec<DeviceMemory> = (0..num_shards).map(|_| self.mem.fork()).collect();
-                let env = &env;
-                // One shard's worker assignment: its index, SM slot,
-                // forked memory view and forked handler runtime.
-                type ShardWork<'s> = (
-                    usize,
-                    &'s mut SmSlot,
-                    DeviceMemory,
-                    Box<dyn HandlerRuntime + Send>,
-                );
-                // Deal shards statically: worker k runs shards
-                // k, k + jobs, … — no load-dependent scheduling.
-                let mut groups: Vec<Vec<ShardWork<'_>>> = (0..jobs).map(|_| Vec::new()).collect();
-                for (s, ((slot, mem), rt)) in self.slots[..num_shards]
-                    .iter_mut()
-                    .zip(mems)
-                    .zip(runtimes)
-                    .enumerate()
-                {
-                    groups[s % jobs].push((s, slot, mem, rt));
-                }
-                let queues = &queues;
-                let mut results: Vec<Option<ShardOut>> = (0..num_shards).map(|_| None).collect();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|group| {
-                            scope.spawn(move || {
-                                group
-                                    .into_iter()
-                                    .map(|(s, slot, mut mem, mut rt)| {
-                                        let out = run_shard(
-                                            env,
-                                            slot,
-                                            &mut mem,
-                                            rt.as_mut(),
-                                            s as u32,
-                                            &queues[s],
-                                        );
-                                        (s, out)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        for (s, out) in h.join().expect("shard worker panicked") {
-                            results[s] = Some(out);
-                        }
-                    }
-                });
-                results
-                    .into_iter()
-                    .map(|o| o.expect("every shard ran"))
-                    .collect()
-            }
-            None => (0..num_shards)
-                .map(|s| {
-                    run_shard(
-                        &env,
-                        &mut self.slots[s],
-                        &mut self.mem,
-                        &mut *runtime,
-                        s as u32,
-                        &queues[s],
-                    )
-                })
-                .collect(),
-        };
-
-        // Merge in canonical shard order: commit journals, sum work
-        // counters (cycles take the max), pick the lowest-shard fault,
-        // and fold shard handler state back into the parent runtime.
+        // CTA i runs on shard i % num_shards, a pure function of launch
+        // geometry. Shards run in order; results merge in that order:
+        // work counters sum (cycles take the max) and the lowest-shard
+        // fault wins.
         let mut outcome = KernelOutcome::Completed;
         let mut stats = LaunchStats::default();
         let mut mem_stats = HierarchyStats::default();
-        for (s, out) in outs.iter().enumerate() {
-            self.mem.commit(&out.journal);
-            stats.merge_shard(&out.stats);
-            mem_stats.merge(&out.mem_stats);
-            self.warp_allocations += out.warp_allocs;
-            if outcome.is_ok() && !out.outcome.is_ok() {
-                outcome = out.outcome;
-            }
-            if let Some(join) = joins.get_mut(s).and_then(|j| j.take()) {
-                join();
+        let shards = num_shards as u32;
+        for (s, slot) in (0..shards).zip(&mut self.slots) {
+            slot.hier.reset();
+            slot.free_warps.clear();
+            slot.free_warps.extend(0..slot.warps.len());
+            slot.free_ctas.clear();
+            slot.free_ctas.extend(0..slot.ctas.len());
+            let mut exec = Exec {
+                cfg: &self.cfg,
+                module,
+                decoded,
+                mode: self.exec_mode,
+                kernel: kf,
+                dims,
+                cbank: &cbank,
+                mem: &mut self.mem,
+                hier: &mut slot.hier,
+                runtime: &mut *runtime,
+                launch_index,
+                sm_id: s,
+                next_cta: s,
+                cta_stride: shards,
+                ctas_left: (total - s).div_ceil(shards),
+                ctas: &mut slot.ctas,
+                warps: &mut slot.warps,
+                free_warps: &mut slot.free_warps,
+                free_ctas: &mut slot.free_ctas,
+                list: Vec::new(),
+                rr: 0,
+                cycle: 0,
+                stats: LaunchStats::default(),
+                warp_allocs: 0,
+                retire_pending: false,
+                block_step,
+            };
+            let shard_outcome = exec.run(max_cycles);
+            exec.stats.cycles = exec.cycle;
+            stats.merge_shard(&exec.stats);
+            self.warp_allocations += exec.warp_allocs;
+            mem_stats.merge(&slot.hier.stats());
+            if outcome.is_ok() && !shard_outcome.is_ok() {
+                outcome = shard_outcome;
             }
         }
         Ok(LaunchResult {
@@ -403,61 +267,6 @@ impl Device {
             stats,
             mem: mem_stats,
         })
-    }
-}
-
-/// Runs one SM shard to completion and returns its contribution.
-fn run_shard(
-    env: &ShardEnv<'_>,
-    slot: &mut SmSlot,
-    mem: &mut DeviceMemory,
-    runtime: &mut dyn HandlerRuntime,
-    sm_id: u32,
-    queue: &[u32],
-) -> ShardOut {
-    slot.hier.reset();
-    slot.free_warps.clear();
-    slot.free_warps.extend(0..slot.warps.len());
-    slot.free_ctas.clear();
-    slot.free_ctas.extend(0..slot.ctas.len());
-    let mut exec = Exec {
-        cfg: env.cfg,
-        module: env.module,
-        decoded: env.decoded,
-        mode: env.mode,
-        kernel: env.kernel,
-        dims: env.dims,
-        cbank: &env.cbank,
-        mem,
-        hier: &mut slot.hier,
-        runtime,
-        launch_index: env.launch_index,
-        sm_id,
-        queue,
-        next_in_queue: 0,
-        ctas: &mut slot.ctas,
-        warps: &mut slot.warps,
-        free_warps: &mut slot.free_warps,
-        free_ctas: &mut slot.free_ctas,
-        list: Vec::new(),
-        rr: 0,
-        cycle: 0,
-        stats: LaunchStats::default(),
-        warp_allocs: 0,
-        retire_pending: false,
-        block_step: env.block_step,
-    };
-    let outcome = exec.run(env.max_cycles);
-    let mut stats = exec.stats;
-    stats.cycles = exec.cycle;
-    let warp_allocs = exec.warp_allocs;
-    drop(exec);
-    ShardOut {
-        outcome,
-        stats,
-        mem_stats: slot.hier.stats(),
-        journal: mem.take_journal(),
-        warp_allocs,
     }
 }
 
@@ -492,7 +301,7 @@ struct Cta {
 }
 
 /// The execution loop of one SM shard: borrows the shard's persistent
-/// state from its [`SmSlot`] and runs its CTA queue to completion.
+/// state from its [`SmSlot`] and runs its CTAs to completion.
 struct Exec<'a> {
     cfg: &'a GpuConfig,
     module: &'a Module,
@@ -507,9 +316,13 @@ struct Exec<'a> {
     launch_index: u64,
     /// Global shard id — the SM id handlers and `%smid` observe.
     sm_id: u32,
-    /// Linear CTA ids assigned to this shard, issued in order.
-    queue: &'a [u32],
-    next_in_queue: usize,
+    /// The next linear CTA id this shard issues; its CTAs are
+    /// `sm_id, sm_id + cta_stride, …`.
+    next_cta: u32,
+    /// The launch's shard count.
+    cta_stride: u32,
+    /// CTAs this shard has yet to issue.
+    ctas_left: u32,
     ctas: &'a mut Vec<Cta>,
     warps: &'a mut Vec<Warp>,
     free_warps: &'a mut Vec<usize>,
@@ -549,10 +362,12 @@ impl Exec<'_> {
     }
 
     fn issue_block(&mut self) {
-        let Some(&linear) = self.queue.get(self.next_in_queue) else {
+        if self.ctas_left == 0 {
             return;
-        };
-        self.next_in_queue += 1;
+        }
+        let linear = self.next_cta;
+        self.ctas_left -= 1;
+        self.next_cta = linear.wrapping_add(self.cta_stride);
         self.stats.blocks += 1;
         let wpb = self.dims.warps_per_block();
         let tpb = self.dims.threads_per_block();
@@ -625,8 +440,8 @@ impl Exec<'_> {
         }
 
         // The decoded interpreter amortizes warp selection over whole
-        // straight-line runs; the reference interpreter (and the
-        // `SASSI_BLOCK_STEP=0` escape hatch) pays one pick per µop.
+        // straight-line runs; the reference interpreter (and a device
+        // with `block_step` off) pays one pick per µop.
         let block_step = self.block_step && self.mode == ExecMode::Decoded;
         loop {
             if self.cycle > max_cycles {
@@ -660,7 +475,7 @@ impl Exec<'_> {
                     self.cycle = until.max(self.cycle + 1);
                 }
                 Pick::Empty => {
-                    if self.next_in_queue >= self.queue.len() {
+                    if self.ctas_left == 0 {
                         return KernelOutcome::Completed;
                     }
                     self.issue_block();
@@ -677,7 +492,7 @@ impl Exec<'_> {
     ///
     /// Cycle accounting charges the run's µop count — one cycle per
     /// µop, exactly as single-stepping does — so instruction-derived
-    /// statistics are byte-identical to `SASSI_BLOCK_STEP=0`.
+    /// statistics are byte-identical to single-stepping.
     /// Intermediate dependence stalls are *not* waited out mid-block;
     /// instead the block's final `ready_at` is the max over its µops',
     /// so a long-latency load still delays the warp's next run while
@@ -1839,9 +1654,6 @@ impl Exec<'_> {
                 AddrSpace::Global | AddrSpace::Generic => {
                     global_addrs[n_global] = a;
                     n_global += 1;
-                    // DeviceMemory applies the read-modify-write and,
-                    // on forked shard views, records it in the journal
-                    // so the master re-applies it at commit time.
                     self.mem
                         .atomic(op, a, operand, operand2, wide)
                         .map_err(mem_fault)?
@@ -1897,7 +1709,7 @@ impl Exec<'_> {
         if !global_addrs.is_empty() {
             let out = self
                 .hier
-                .access_global(0, self.cycle, global_addrs, width, write);
+                .access_global(self.cycle, global_addrs, width, write);
             lat = lat.max(out.ready_at.saturating_sub(self.cycle));
         }
         if has_local {
@@ -2045,8 +1857,8 @@ fn mem_fault(e: MemError) -> FaultKind {
     }
 }
 
-// `apply_atom` lives in `sassi_mem` (the journaled global path uses it
-// there); the shared-memory path above imports it from that crate.
+// `apply_atom` lives in `sassi_mem`, next to `DeviceMemory::atomic`
+// (the global path); the shared-memory path above imports it.
 
 /// Gathers one lane's store source registers into `buf` (little-endian
 /// register pairs/quads; sub-word stores truncate the low register).

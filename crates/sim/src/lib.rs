@@ -58,10 +58,10 @@ pub use decode::{
     is_block_boundary, BasicBlock, DSrc, DecodedFault, DecodedInstr, DecodedModule, TrapSite, UOp,
     GUARD_ALWAYS,
 };
-pub use device::{block_step_env_default, Device, ExecMode, LaunchError};
+pub use device::{Device, ExecMode, LaunchError};
 pub use module::{LinkError, LinkedFunction, Module};
 pub use stats::{
     FaultInfo, FaultKind, IssueClass, IssueCounters, KernelOutcome, LaunchResult, LaunchStats,
 };
-pub use trap::{HandlerCost, HandlerRuntime, NoHandlers, RuntimeShard, TrapCtx, TrapRef};
+pub use trap::{HandlerCost, HandlerRuntime, NoHandlers, TrapCtx, TrapRef};
 pub use warp::{StackEntry, Warp, WarpStatus};

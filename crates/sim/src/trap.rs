@@ -236,19 +236,6 @@ impl TrapCtx<'_> {
     }
 }
 
-/// A shard-local fork of a handler runtime, for CTA-parallel launches.
-///
-/// The `runtime` half moves to the shard's worker thread and receives
-/// that shard's traps; `join` stays on the launching thread and is
-/// called — in canonical shard order, after every shard has finished —
-/// to merge the shard's accumulated handler state back into the parent.
-pub struct RuntimeShard {
-    /// The forked runtime executed by the shard.
-    pub runtime: Box<dyn HandlerRuntime + Send>,
-    /// Merges the shard's handler state into the parent runtime.
-    pub join: Box<dyn FnOnce() + Send>,
-}
-
 /// The identity of the trap site being dispatched: the decode-time
 /// site index (into the table passed to
 /// [`HandlerRuntime::bind_sites`]) plus the raw handler id from the
@@ -267,22 +254,13 @@ pub trait HandlerRuntime {
     /// cost is charged to the warp as cycles.
     fn handle(&mut self, trap: TrapRef, ctx: &mut TrapCtx<'_>) -> HandlerCost;
 
-    /// Called once per launch (and once per forked shard runtime),
-    /// before any trap is dispatched, with the launching module's
-    /// decode-time site table. Runtimes can pre-resolve per-site
-    /// dispatch state here; `TrapRef::site` indexes the bound table.
+    /// Called once per launch, before any trap is dispatched, with the
+    /// launching module's decode-time site table. Runtimes can
+    /// pre-resolve per-site dispatch state here; `TrapRef::site`
+    /// indexes the bound table.
     /// The default does nothing — runtimes that dispatch on
     /// `TrapRef::handler` alone need no table.
     fn bind_sites(&mut self, _sites: &[TrapSite]) {}
-
-    /// Forks a shard-local runtime for one SM shard of a CTA-parallel
-    /// launch, or `None` if this runtime's state cannot be merged (the
-    /// device then falls back to running shards sequentially, which is
-    /// always correct). The default is `None`: order-dependent runtimes
-    /// stay sequential unless they opt in.
-    fn fork_shard(&self) -> Option<RuntimeShard> {
-        None
-    }
 }
 
 /// A runtime with no handlers: traps are ignored at zero cost.
@@ -292,13 +270,6 @@ pub struct NoHandlers;
 impl HandlerRuntime for NoHandlers {
     fn handle(&mut self, _trap: TrapRef, _ctx: &mut TrapCtx<'_>) -> HandlerCost {
         HandlerCost::FREE
-    }
-
-    fn fork_shard(&self) -> Option<RuntimeShard> {
-        Some(RuntimeShard {
-            runtime: Box::new(NoHandlers),
-            join: Box::new(|| {}),
-        })
     }
 }
 

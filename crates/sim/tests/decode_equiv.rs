@@ -35,8 +35,8 @@ fn run_workload(
     // interpreter, so the decoded engine must single-step: the
     // block-stepped scheduler is instruction-identical but folds
     // intra-block stalls, shifting cycle counts (its own equivalence
-    // suite lives in `block_step.rs` / `cta_parallel.rs`).
-    rt.set_block_step(false);
+    // suite lives in `block_step.rs` / `shard_schedule.rs`).
+    rt.device.block_step = false;
     let out = w.execute(&mut rt, &module, &mut NoHandlers);
     (out, rt.records().to_vec())
 }

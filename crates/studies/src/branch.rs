@@ -7,8 +7,8 @@
 //! in a hash table keyed by the instruction's address.
 
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
-use sassi_workloads::{execute_with_opts, Workload};
+use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi_workloads::{execute, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,22 +33,6 @@ pub struct BranchStats {
 pub struct BranchState {
     /// Per-branch counters.
     pub branches: HashMap<u64, BranchStats>,
-}
-
-impl BranchState {
-    /// Folds another accumulator into this one. Every field is an
-    /// entry-wise sum, so merging is commutative and the result does
-    /// not depend on shard order.
-    pub fn merge(&mut self, other: &BranchState) {
-        for (addr, s) in &other.branches {
-            let e = self.branches.entry(*addr).or_default();
-            e.total_branches += s.total_branches;
-            e.divergent_branches += s.divergent_branches;
-            e.active_threads += s.active_threads;
-            e.taken_threads += s.taken_threads;
-            e.taken_not_threads += s.taken_not_threads;
-        }
-    }
 }
 
 struct BranchHandler {
@@ -90,16 +74,6 @@ impl Handler for BranchHandler {
             memory_ops: 2,
             atomics: 5,
         }
-    }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(BranchState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(BranchHandler { state: child }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
-        })
     }
 }
 
@@ -162,20 +136,6 @@ pub fn instrumentor(state: Arc<Mutex<BranchState>>) -> Sassi {
 
 /// Runs Case Study I on one workload.
 pub fn run(w: &dyn Workload) -> BranchStudy {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study I with `cta_jobs` inner worker threads per launch.
-/// Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> BranchStudy {
-    run_with_config(w, cta_jobs, None)
-}
-
-/// As [`run_with_jobs`], additionally pinning the block-stepped
-/// scheduler on or off (`None` keeps the `SASSI_BLOCK_STEP` default).
-/// The study output is byte-identical across all four
-/// `cta_jobs` × `block_step` cells — the CI matrix's contract.
-pub fn run_with_config(w: &dyn Workload, cta_jobs: usize, block_step: Option<bool>) -> BranchStudy {
     let state = Arc::new(Mutex::new(BranchState::default()));
     let mut sassi = instrumentor(state.clone());
 
@@ -193,7 +153,7 @@ pub fn run_with_config(w: &dyn Workload, cta_jobs: usize, block_step: Option<boo
         })
         .sum();
 
-    let report = execute_with_opts(w, Some(&mut sassi), None, cta_jobs, block_step);
+    let report = execute(w, Some(&mut sassi), None);
     assert!(
         report.output.is_ok(),
         "{}: {:?}",

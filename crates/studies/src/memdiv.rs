@@ -8,11 +8,8 @@
 //! unique lines).
 
 use parking_lot::Mutex;
-use sassi::{
-    Handler, HandlerCost, HandlerShard, InfoFlags, MemoryDomain, Sassi, Scratch, SiteCtx,
-    SiteFilter,
-};
-use sassi_workloads::{execute_with_jobs, Workload};
+use sassi::{Handler, HandlerCost, InfoFlags, MemoryDomain, Sassi, Scratch, SiteCtx, SiteFilter};
+use sassi_workloads::{execute, Workload};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -35,16 +32,6 @@ impl Default for MemDivState {
 }
 
 impl MemDivState {
-    /// Folds another accumulator into this one (element-wise sum of
-    /// the 32×32 matrix — commutative, so shard order is irrelevant).
-    pub fn merge(&mut self, other: &MemDivState) {
-        for (row, orow) in self.counters.iter_mut().zip(&other.counters) {
-            for (cell, ocell) in row.iter_mut().zip(orow) {
-                *cell += ocell;
-            }
-        }
-    }
-
     /// The Figure 7 PMF: fraction of *thread-level* accesses issued
     /// from warps touching `n+1` unique lines (index `n`).
     pub fn pmf(&self) -> [f64; 32] {
@@ -144,19 +131,6 @@ impl Handler for MemDivHandler {
             atomics: 1,
         }
     }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(MemDivState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(MemDivHandler {
-                state: child,
-                scratch: Scratch::default(),
-            }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
-        })
-    }
 }
 
 /// The study result for one workload.
@@ -188,15 +162,9 @@ pub fn instrumentor(state: Arc<Mutex<MemDivState>>) -> Sassi {
 
 /// Runs Case Study II on one workload.
 pub fn run(w: &dyn Workload) -> MemDivStudy {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study II with `cta_jobs` inner worker threads per launch.
-/// Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> MemDivStudy {
     let state = Arc::new(Mutex::new(MemDivState::default()));
     let mut sassi = instrumentor(state.clone());
-    let report = execute_with_jobs(w, Some(&mut sassi), None, cta_jobs);
+    let report = execute(w, Some(&mut sassi), None);
     assert!(
         report.output.is_ok(),
         "{}: {:?}",

@@ -8,8 +8,8 @@
 //! warp carried the same value (scalar detection via `__shfl`/`__all`).
 
 use parking_lot::Mutex;
-use sassi::{Handler, HandlerCost, HandlerShard, InfoFlags, Sassi, SiteCtx, SiteFilter};
-use sassi_workloads::{execute_with_jobs, Workload};
+use sassi::{Handler, HandlerCost, InfoFlags, Sassi, SiteCtx, SiteFilter};
+use sassi_workloads::{execute, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,28 +59,6 @@ pub struct InstrProfile {
 pub struct ValueState {
     /// Per-instruction profiles.
     pub instrs: HashMap<u64, InstrProfile>,
-}
-
-impl ValueState {
-    /// Folds another accumulator into this one: weights sum, bit masks
-    /// and scalar flags AND together. `DstProfile::new` starts at the
-    /// AND identity (all-ones masks, scalar), so destinations one side
-    /// never saw merge exactly. All operations are commutative.
-    pub fn merge(&mut self, other: &ValueState) {
-        for (addr, prof) in &other.instrs {
-            let e = self.instrs.entry(*addr).or_default();
-            e.weight += prof.weight;
-            for (d, src) in prof.dsts.iter().enumerate() {
-                if let Some(dst) = e.dsts.get_mut(d) {
-                    dst.constant_ones &= src.constant_ones;
-                    dst.constant_zeros &= src.constant_zeros;
-                    dst.is_scalar &= src.is_scalar;
-                } else {
-                    e.dsts.push(*src);
-                }
-            }
-        }
-    }
 }
 
 struct ValueHandler {
@@ -142,16 +120,6 @@ impl Handler for ValueHandler {
             atomics: 3 * n,
         }
     }
-
-    fn fork(&self) -> Option<HandlerShard> {
-        let shard = Arc::new(Mutex::new(ValueState::default()));
-        let parent = self.state.clone();
-        let child = shard.clone();
-        Some(HandlerShard {
-            handler: Box::new(ValueHandler { state: child }),
-            join: Box::new(move || parent.lock().merge(&shard.lock())),
-        })
-    }
 }
 
 /// One Table 2 row.
@@ -182,15 +150,9 @@ pub fn instrumentor(state: Arc<Mutex<ValueState>>) -> Sassi {
 
 /// Runs Case Study III on one workload.
 pub fn run(w: &dyn Workload) -> ValueRow {
-    run_with_jobs(w, 1)
-}
-
-/// Runs Case Study III with `cta_jobs` inner worker threads per
-/// launch. Results are byte-identical for any job count.
-pub fn run_with_jobs(w: &dyn Workload, cta_jobs: usize) -> ValueRow {
     let state = Arc::new(Mutex::new(ValueState::default()));
     let mut sassi = instrumentor(state.clone());
-    let report = execute_with_jobs(w, Some(&mut sassi), None, cta_jobs);
+    let report = execute(w, Some(&mut sassi), None);
     assert!(
         report.output.is_ok(),
         "{}: {:?}",

@@ -1,8 +1,8 @@
 //! Steady-state allocation accounting for the instrumented path.
 //!
 //! The launch machinery performs a small, fixed number of heap
-//! allocations per launch (shard queues, the constant bank, journal
-//! growth) — identically for native and instrumented modules of the
+//! allocations per launch (the constant bank, each shard's warp list) —
+//! identically for native and instrumented modules of the
 //! same geometry. Traps must contribute *zero* on top: site dispatch is
 //! indexed through the decode-resolved slot table, lane iteration is a
 //! mask walk, and the study handlers reuse scratch capacity. So a
