@@ -6,8 +6,12 @@
 
 use sassi_bench::campaigns::{self, FailedWorkload};
 use sassi_bench::exec::{default_jobs, Timing};
-use sassi_bench::{hotloop as hotloop_cmp, save_json};
+use sassi_bench::hotloop::{self as hotloop_cmp, Spread};
+use sassi_bench::save_json;
 use sassi_studies::report;
+use serde::Serialize;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 const USAGE: &str = "usage: repro [--jobs N] [table1|fig5|fig7|fig8|table2|table3|fig10 [runs]|fig10-site WORKLOAD SITE [SEED]|ablation-stub|ablation-spill|hotloop|all]
   --jobs N     worker threads per sweep (default: SASSI_JOBS or available parallelism)
@@ -118,31 +122,31 @@ fn main() {
     match cli.cmd.as_str() {
         "table1" => {
             no_args(&cli);
-            failed |= !table1(cli.jobs);
+            failed |= !table1(cli.jobs).ok;
         }
         "fig5" => {
             no_args(&cli);
-            failed |= !fig5(cli.jobs);
+            failed |= !fig5(cli.jobs).ok;
         }
         "fig7" => {
             no_args(&cli);
-            failed |= !fig7(cli.jobs);
+            failed |= !fig7(cli.jobs).ok;
         }
         "fig8" => {
             no_args(&cli);
-            failed |= !fig8(cli.jobs);
+            failed |= !fig8(cli.jobs).ok;
         }
         "table2" => {
             no_args(&cli);
-            failed |= !table2(cli.jobs);
+            failed |= !table2(cli.jobs).ok;
         }
         "table3" => {
             no_args(&cli);
-            failed |= !table3(cli.jobs);
+            failed |= !table3(cli.jobs).ok;
         }
         "fig10" => {
             let runs = fig10_runs(&cli);
-            failed |= !fig10(runs, cli.jobs);
+            failed |= !fig10(runs, cli.jobs).ok;
         }
         "fig10-site" => {
             let (workload, site, seed) = fig10_site_args(&cli);
@@ -154,11 +158,11 @@ fn main() {
         }
         "ablation-stub" => {
             no_args(&cli);
-            failed |= !ablation_stub(cli.jobs);
+            failed |= !ablation_stub(cli.jobs).ok;
         }
         "ablation-spill" => {
             no_args(&cli);
-            failed |= !ablation_spill(cli.jobs);
+            failed |= !ablation_spill(cli.jobs).ok;
         }
         "hotloop" => {
             no_args(&cli);
@@ -166,12 +170,7 @@ fn main() {
         }
         "all" => {
             no_args(&cli);
-            for sweep in [table1, fig5, fig7, fig8, table2, table3] {
-                failed |= !sweep(cli.jobs);
-            }
-            failed |= !fig10(150, cli.jobs);
-            failed |= !ablation_stub(cli.jobs);
-            failed |= !ablation_spill(cli.jobs);
+            failed |= !all(cli.jobs);
         }
         other => usage_exit(&format!("unknown experiment `{other}`")),
     }
@@ -180,12 +179,91 @@ fn main() {
     }
 }
 
+/// The end-to-end record `repro all` writes to
+/// `results/timings/full_sweep.json`.
+#[derive(Serialize)]
+struct FullSweep {
+    command: String,
+    host: Host,
+    /// `--jobs` as given; each sweep records the count it used.
+    jobs: usize,
+    /// Wall-clock seconds of the whole run.
+    wall_s: f64,
+    sweeps: BTreeMap<&'static str, Timing>,
+}
+
+/// The machine a [`FullSweep`] ran on.
+#[derive(Serialize)]
+struct Host {
+    /// Available parallelism as the process sees it.
+    nproc: usize,
+    /// `model name` of the first CPU in `/proc/cpuinfo`.
+    cpu_model: String,
+}
+
+impl Host {
+    fn this() -> Host {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| String::from("unknown"));
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            cpu_model,
+        }
+    }
+}
+
+/// Runs every sweep of the paper's evaluation in order and, when all
+/// of them succeed, writes their timings with the host and the total
+/// wall time to `results/timings/full_sweep.json`. Returns whether all
+/// succeeded.
+fn all(jobs: usize) -> bool {
+    let started = Instant::now();
+    let runs: [fn(usize) -> Swept; 9] = [
+        table1,
+        fig5,
+        fig7,
+        fig8,
+        table2,
+        table3,
+        |jobs| fig10(150, jobs),
+        ablation_stub,
+        ablation_spill,
+    ];
+    let swept: Vec<Swept> = runs.iter().map(|run| run(jobs)).collect();
+    if swept.iter().any(|s| !s.ok) {
+        return false;
+    }
+    let record = FullSweep {
+        command: format!("repro --jobs {jobs} all"),
+        host: Host::this(),
+        jobs,
+        wall_s: started.elapsed().as_secs_f64(),
+        sweeps: swept.iter().map(|s| (s.label, s.timing)).collect(),
+    };
+    println!("[all] {:.2} s wall", record.wall_s);
+    save_json("timings/full_sweep", &record);
+    true
+}
+
+/// A finished sweep: its name, its timing, and whether every unit
+/// succeeded.
+struct Swept {
+    label: &'static str,
+    timing: Timing,
+    ok: bool,
+}
+
 /// Reports a sweep's timing and the workloads it lost to a panic, each
-/// with its message; returns whether there were none. A sweep with
-/// failures writes no artifact, and `repro` exits 1 after the remaining
-/// sweeps.
-fn sweep_ok(label: &str, timing: &Timing, failed: &[FailedWorkload]) -> bool {
-    report_timing(label, timing);
+/// with its message. A sweep with failures is not `ok`: it writes no
+/// artifact, and `repro` exits 1 after the remaining sweeps.
+fn finish(label: &'static str, timing: Timing, failed: &[FailedWorkload]) -> Swept {
+    report_timing(label, &timing);
     for f in failed {
         eprintln!("[{label}] {} panicked: {}", f.workload, f.message);
     }
@@ -195,26 +273,32 @@ fn sweep_ok(label: &str, timing: &Timing, failed: &[FailedWorkload]) -> bool {
             failed.len()
         );
     }
-    failed.is_empty()
+    Swept {
+        label,
+        timing,
+        ok: failed.is_empty(),
+    }
 }
 
-fn table1(jobs: usize) -> bool {
+fn table1(jobs: usize) -> Swept {
     let (rows, timing, failed) = campaigns::table1(jobs);
-    if !sweep_ok("table1", &timing, &failed) {
-        return false;
+    let swept = finish("table1", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("{}", report::table1(&rows));
     save_json(
         "table1",
         &rows.iter().map(|r| r.row.clone()).collect::<Vec<_>>(),
     );
-    true
+    swept
 }
 
-fn fig5(jobs: usize) -> bool {
+fn fig5(jobs: usize) -> Swept {
     let (studies, timing, failed) = campaigns::fig5(jobs);
-    if !sweep_ok("fig5", &timing, &failed) {
-        return false;
+    let swept = finish("fig5", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     for study in &studies {
         println!("{}", report::figure5(study, 12));
@@ -223,13 +307,14 @@ fn fig5(jobs: usize) -> bool {
             &study.per_branch,
         );
     }
-    true
+    swept
 }
 
-fn fig7(jobs: usize) -> bool {
+fn fig7(jobs: usize) -> Swept {
     let (studies, timing, failed) = campaigns::fig7(jobs);
-    if !sweep_ok("fig7", &timing, &failed) {
-        return false;
+    let swept = finish("fig7", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("{}", report::figure7(&studies));
     save_json(
@@ -239,13 +324,14 @@ fn fig7(jobs: usize) -> bool {
             .map(|s| (s.name.clone(), s.pmf.clone(), s.fully_diverged))
             .collect::<Vec<_>>(),
     );
-    true
+    swept
 }
 
-fn fig8(jobs: usize) -> bool {
+fn fig8(jobs: usize) -> Swept {
     let (studies, timing, failed) = campaigns::fig8(jobs);
-    if !sweep_ok("fig8", &timing, &failed) {
-        return false;
+    let swept = finish("fig8", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     for study in &studies {
         println!("{}", report::figure8(study));
@@ -254,42 +340,44 @@ fn fig8(jobs: usize) -> bool {
             &study.matrix,
         );
     }
-    true
+    swept
 }
 
-fn table2(jobs: usize) -> bool {
+fn table2(jobs: usize) -> Swept {
     let (rows, timing, failed) = campaigns::table2(jobs);
-    if !sweep_ok("table2", &timing, &failed) {
-        return false;
+    let swept = finish("table2", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("{}", report::table2(&rows));
     save_json("table2", &rows);
-    true
+    swept
 }
 
-fn table3(jobs: usize) -> bool {
+fn table3(jobs: usize) -> Swept {
     let (rows, timing, failed) = campaigns::table3(jobs);
-    if !sweep_ok("table3", &timing, &failed) {
-        return false;
+    let swept = finish("table3", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("{}", report::table3(&rows));
     save_json("table3", &rows);
-    true
+    swept
 }
 
-/// Runs the Figure 10 sweep; returns `false` if any workload's
+/// Runs the Figure 10 sweep; it is not `ok` if any workload's
 /// planning or any injection panicked. The sweep still finishes, but
 /// its tallies are then short of those units, so `results/fig10.json`
 /// is left untouched and each failed injection is printed with the
 /// command that reruns it alone.
-fn fig10(runs: usize, jobs: usize) -> bool {
+fn fig10(runs: usize, jobs: usize) -> Swept {
     let (campaigns, timing, failed_plans, failures) =
         campaigns::fig10(runs, campaigns::FIG10_SEED, jobs);
     println!("{}", report::figure10(&campaigns));
-    let plans_ok = sweep_ok("fig10", &timing, &failed_plans);
-    if plans_ok && failures.is_empty() {
+    let mut swept = finish("fig10", timing, &failed_plans);
+    if swept.ok && failures.is_empty() {
         save_json("fig10", &campaigns);
-        return true;
+        return swept;
     }
     if !failures.is_empty() {
         eprintln!(
@@ -307,13 +395,15 @@ fn fig10(runs: usize, jobs: usize) -> bool {
             f.repro_command()
         );
     }
-    false
+    swept.ok = false;
+    swept
 }
 
-fn ablation_stub(jobs: usize) -> bool {
+fn ablation_stub(jobs: usize) -> Swept {
     let (rows, timing, failed) = campaigns::ablation_stub(jobs);
-    if !sweep_ok("ablation-stub", &timing, &failed) {
-        return false;
+    let swept = finish("ablation-stub", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("Stub-handler ablation (§9.1): kernel slowdown with full vs empty handler");
     for row in &rows {
@@ -331,7 +421,7 @@ fn ablation_stub(jobs: usize) -> bool {
         100.0 * mean
     );
     save_json("ablation_stub", &rows);
-    true
+    swept
 }
 
 fn hotloop() {
@@ -346,6 +436,12 @@ fn hotloop() {
         report.decoded.warp_instrs,
         report.decoded.thread_instrs
     );
+    println!(
+        "  median (min–max) over {} interleaved rounds",
+        report.rounds
+    );
+    let range =
+        |s: &Spread, unit: &str| format!("{:.3}{unit} ({:.3}–{:.3})", s.median, s.min, s.max);
     for (label, run) in [
         ("decoded", &report.decoded),
         ("single-step", &report.single_step),
@@ -353,18 +449,23 @@ fn hotloop() {
         ("instrumented", &report.instrumented),
     ] {
         println!(
-            "  {label:<12} {:>7.2} s busy ({:>6.2} s wall) — {:.0} warp instrs/s",
-            run.busy_s, run.wall_s, run.instrs_per_s
+            "  {label:<12} {} wall — {:.0} warp instrs/busy s",
+            range(&run.wall_s, " s"),
+            run.instrs_per_s
         );
     }
-    println!("  speedup: {:.2}x (busy-time ratio)", report.speedup);
     println!(
-        "  block speedup: {:.2}x (single-step wall / block-stepped wall)",
-        report.block_speedup
+        "  speedup: {} (reference busy / decoded busy)",
+        range(&report.speedup, "x")
     );
     println!(
-        "  instrumented overhead: {:.2}x wall vs native decoded (branch study, {} handler calls)",
-        report.instrumented_overhead, report.handler_calls
+        "  block speedup: {} (single-step wall / block-stepped wall)",
+        range(&report.block_speedup, "x")
+    );
+    println!(
+        "  instrumented overhead: {} wall vs native decoded (branch study, {} handler calls)",
+        range(&report.instrumented_overhead, "x"),
+        report.handler_calls
     );
     let i = &report.issue;
     let total = (i.memory + i.control + i.numeric + i.misc).max(1);
@@ -378,10 +479,11 @@ fn hotloop() {
     save_json("timings/sim_hot_loop", &report);
 }
 
-fn ablation_spill(jobs: usize) -> bool {
+fn ablation_spill(jobs: usize) -> Swept {
     let (rows, timing, failed) = campaigns::ablation_spill(jobs);
-    if !sweep_ok("ablation-spill", &timing, &failed) {
-        return false;
+    let swept = finish("ablation-spill", timing, &failed);
+    if !swept.ok {
+        return swept;
     }
     println!("Liveness ablation: liveness-driven minimal saves vs save-everything (binary-rewriter baseline)");
     println!(
@@ -394,5 +496,5 @@ fn ablation_spill(jobs: usize) -> bool {
             row.name, row.live_saves, row.all_saves, row.k_live, row.k_all
         );
     }
-    true
+    swept
 }

@@ -14,7 +14,8 @@
 //! repro ablation-stub   # §9.1 stub-handler ablation
 //! repro ablation-spill  # liveness-driven vs save-everything spills
 //! repro hotloop         # decoded-vs-reference interpreter comparison
-//! repro all             # everything above
+//! repro all             # everything above except hotloop, plus
+//!                       # results/timings/full_sweep.json
 //! ```
 //!
 //! Results print as ASCII tables/figures and are also written as JSON

@@ -1,4 +1,4 @@
-//! Set-associative, write-back LRU caches (L1 per SM, shared L2).
+//! Set-associative, write-back LRU caches: each SM's private L1 and L2.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,14 +65,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64, // larger = more recently used
-}
-
 /// A set-associative write-back cache with LRU replacement.
 ///
 /// Purely a tag store: data travels through [`crate::DeviceMemory`];
@@ -82,11 +74,26 @@ struct Line {
 /// answers repeat accesses to the most recently touched line without
 /// scanning the set — both bit-identical to the scanning path
 /// (same hits, misses, writebacks and LRU ordering).
+///
+/// Each line is two words: its tag, and a stamp `tick << 1 | dirty`
+/// holding the access tick that last touched it. The access tick never
+/// rewinds. A line is valid iff its tick is above `floor`, the tick of
+/// the last [`Cache::reset`], so a reset invalidates every line by
+/// raising `floor` without touching any, and a new cache starts from
+/// all-zero words (tick 0, never above `floor`). Zero words let the
+/// allocator hand out untouched zero pages: building a cache writes no
+/// line, and only the sets a run touches become resident.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// Tag of each line, `ways` consecutive entries per set.
+    tags: Vec<u64>,
+    /// `tick << 1 | dirty` of each line, indexed like `tags`.
+    stamps: Vec<u64>,
+    /// Tick of the most recent access; only ever increases.
     tick: u64,
+    /// Tick at the last reset: lines stamped at or below it are invalid.
+    floor: u64,
     stats: CacheStats,
     /// `addr >> line_shift` = line key (tag and set packed together).
     line_shift: u32,
@@ -99,7 +106,7 @@ pub struct Cache {
     /// touches it, a miss fills it), so a matching key is a hit in
     /// the line at `mru_slot` with no tag scan.
     mru_key: u64,
-    /// Index into `lines` of the most recent access's line.
+    /// Index into `tags`/`stamps` of the most recent access's line.
     mru_slot: u32,
 }
 
@@ -117,10 +124,13 @@ impl Cache {
             "line size must be a power of two"
         );
         assert!(cfg.ways > 0, "ways must be nonzero");
+        let lines = (cfg.sets * cfg.ways) as usize;
         Cache {
             cfg,
-            lines: vec![Line::default(); (cfg.sets * cfg.ways) as usize],
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
             tick: 0,
+            floor: 0,
             stats: CacheStats::default(),
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (cfg.sets - 1) as u64,
@@ -140,21 +150,36 @@ impl Cache {
         self.stats
     }
 
-    /// Resets contents and statistics.
+    /// Invalidates every line and clears the statistics in O(1): the
+    /// watermark `floor` rises to the current tick, so no line stamped
+    /// before now is valid and no stale dirty line is ever written
+    /// back. Later accesses see exactly what a new cache would.
     pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
-        self.tick = 0;
+        self.floor = self.tick;
         self.stats = CacheStats::default();
         self.mru_key = u64::MAX;
         self.mru_slot = 0;
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) & self.set_mask) as usize
+    /// The index of `key`'s first way, and the index of the valid line
+    /// in its set that holds `key`'s tag, if any.
+    fn find(&self, key: u64) -> (usize, Option<usize>) {
+        let ways = self.cfg.ways as usize;
+        let base = (key & self.set_mask) as usize * ways;
+        let tag = key >> self.set_shift;
+        let floor = self.floor;
+        let hit = self.tags[base..base + ways]
+            .iter()
+            .zip(&self.stamps[base..base + ways])
+            .position(|(&t, &s)| t == tag && s >> 1 > floor);
+        (base, hit.map(|way| base + way))
     }
 
-    fn tag(&self, addr: u64) -> u64 {
-        (addr >> self.line_shift) >> self.set_shift
+    /// Records a hit in line `i`: restamps it and keeps it dirty if it
+    /// was or if this access writes.
+    fn touch(&mut self, i: usize, write: bool) {
+        self.stamps[i] = self.tick << 1 | self.stamps[i] & 1 | write as u64;
+        self.stats.hits += 1;
     }
 
     /// Performs one line access. Returns `true` on hit. On a miss the
@@ -168,60 +193,42 @@ impl Cache {
         // so this is a hit with no way scan. The bookkeeping matches
         // the scanning hit path exactly.
         if key == self.mru_key {
-            let line = &mut self.lines[self.mru_slot as usize];
-            debug_assert!(line.valid && line.tag == key >> self.set_shift);
-            line.lru = self.tick;
-            line.dirty |= write;
-            self.stats.hits += 1;
+            debug_assert_eq!(self.find(key).1, Some(self.mru_slot as usize));
+            self.touch(self.mru_slot as usize, write);
             return true;
         }
-        let set = (key & self.set_mask) as usize;
-        let tag = key >> self.set_shift;
-        let base = set * self.cfg.ways as usize;
-        let ways = &mut self.lines[base..base + self.cfg.ways as usize];
-
-        if let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) {
-            let line = &mut ways[way];
-            line.lru = self.tick;
-            line.dirty |= write;
-            self.stats.hits += 1;
-            self.mru_key = key;
-            self.mru_slot = (base + way) as u32;
+        self.mru_key = key;
+        let (base, hit) = self.find(key);
+        if let Some(slot) = hit {
+            self.touch(slot, write);
+            self.mru_slot = slot as u32;
             return true;
         }
 
         self.stats.misses += 1;
-        // Choose victim: an invalid way, else the least recently used.
-        let way = ways
+        // Victim: the way with the oldest stamp. Every invalid way is
+        // stamped at or below `floor` and every valid one above it, so
+        // an invalid way is taken whenever the set has one.
+        let set = &self.stamps[base..base + self.cfg.ways as usize];
+        let (way, &old) = set
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
-            .map(|(i, _)| i)
+            .min_by_key(|&(_, &s)| s)
             .expect("ways > 0");
-        let victim = &mut ways[way];
-        if victim.valid && victim.dirty {
+        if old >> 1 > self.floor && old & 1 != 0 {
             self.stats.writebacks += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
-        self.mru_key = key;
-        self.mru_slot = (base + way) as u32;
+        let slot = base + way;
+        self.tags[slot] = key >> self.set_shift;
+        self.stamps[slot] = self.tick << 1 | write as u64;
+        self.mru_slot = slot as u32;
         false
     }
 
     /// Probes without modifying state. Returns whether `addr` currently
     /// hits.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let base = set * self.cfg.ways as usize;
-        self.lines[base..base + self.cfg.ways as usize]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.find(addr >> self.line_shift).1.is_some()
     }
 }
 

@@ -96,7 +96,9 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Builds an empty hierarchy.
+    /// Builds an empty hierarchy. Both caches start as zero words the
+    /// allocator can map lazily (see [`Cache`]), so building one writes
+    /// no cache line.
     pub fn new(cfg: HierarchyConfig) -> MemoryHierarchy {
         MemoryHierarchy {
             cfg,
@@ -163,7 +165,10 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Resets caches, DRAM queue and counters.
+    /// Resets caches, DRAM queue and counters in O(1), independent of
+    /// the cache sizes: each cache raises its validity watermark instead
+    /// of clearing its lines (see [`Cache::reset`]). Everything served
+    /// afterwards, cycles included, is what a new hierarchy serves.
     pub fn reset(&mut self) {
         self.l1.reset();
         self.l2.reset();

@@ -1,5 +1,6 @@
 //! Model-based property tests: the set-associative LRU cache must agree
-//! with a straightforward reference implementation on random traces.
+//! with a straightforward reference implementation on random traces,
+//! and a reset cache must behave exactly like a new one.
 
 use proptest::prelude::*;
 use sassi_mem::{Cache, CacheConfig};
@@ -97,5 +98,36 @@ proptest! {
             writes += w as u64;
         }
         prop_assert!(c.stats().writebacks <= writes, "cannot write back more than was written");
+    }
+
+    /// `reset` invalidates in O(1) by raising a watermark instead of
+    /// clearing lines, so stale lines stay in the tag store. After each
+    /// reset the cache must answer the rest of the trace exactly as a
+    /// new cache does: same hits, misses and writebacks (no stale dirty
+    /// line is written back), and same probes.
+    #[test]
+    fn reset_matches_new_cache(
+        ops in prop::collection::vec((0u64..4096, any::<bool>(), 0u8..16), 1..400),
+        sets_pow in 0u32..4,
+        ways in 1u32..5,
+    ) {
+        let cfg = CacheConfig { sets: 1 << sets_pow, ways, line_bytes: 32 };
+        let mut dut = Cache::new(cfg);
+        let mut fresh = Cache::new(cfg);
+        let mut resets = 0;
+        for (i, &(a, w, r)) in ops.iter().enumerate() {
+            if r == 0 {
+                dut.reset();
+                fresh = Cache::new(cfg);
+                resets += 1;
+            }
+            prop_assert_eq!(dut.probe(a), fresh.probe(a), "probe {} after {} resets", i, resets);
+            prop_assert_eq!(
+                dut.access(a, w),
+                fresh.access(a, w),
+                "access {} to {:#x} after {} resets", i, a, resets
+            );
+            prop_assert_eq!(dut.stats(), fresh.stats(), "stats at {} after {} resets", i, resets);
+        }
     }
 }

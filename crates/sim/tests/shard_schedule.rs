@@ -156,25 +156,44 @@ fn each_sm_pays_its_own_l2_miss() {
     assert_eq!(res.mem.dram_transactions, 2);
 }
 
+/// Per-warp state and each SM's memory hierarchy survive relaunch: a
+/// relaunch reuses every warp context and returns exactly the
+/// `LaunchResult` (cycles and `mem` counters included) that the same
+/// launch returns on a new device, so no line cached, and no dirty
+/// line left, by an earlier launch is seen by a later one.
 #[test]
 fn relaunch_reuses_warp_state() {
     let mut mb = ModuleBuilder::new();
     mb.add_kernel(red_bins_kernel());
     let module = mb.build(None).unwrap();
+    let dims = LaunchDims::linear(32, 64);
+    let launch = |rt: &mut Runtime, bins: u64| {
+        rt.launch(&module, "red_bins", dims, &[bins], &mut NoHandlers)
+            .unwrap()
+    };
+    let fresh = {
+        let mut rt = Runtime::with_defaults();
+        let bins = rt.alloc_zeroed_u32(8);
+        launch(&mut rt, bins.addr)
+    };
+    assert!(fresh.is_ok());
+    assert!(fresh.mem.l2.misses > 0 && fresh.mem.dram_transactions > 0);
+
     let mut rt = Runtime::with_defaults();
     let bins = rt.alloc_zeroed_u32(8);
-    let dims = LaunchDims::linear(32, 64);
     for _ in 0..2 {
-        rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
-            .unwrap();
+        assert_eq!(launch(&mut rt, bins.addr), fresh);
     }
     let after_two = rt.device.warp_allocations();
     assert!(after_two > 0, "first launch must provision warps");
     // Two more launches with the same geometry: every warp context must
     // come from the recycled pool, never a fresh allocation.
     for _ in 0..2 {
-        rt.launch(&module, "red_bins", dims, &[bins.addr], &mut NoHandlers)
-            .unwrap();
+        assert_eq!(
+            launch(&mut rt, bins.addr),
+            fresh,
+            "relaunch on a reused device must match a new device"
+        );
     }
     assert_eq!(
         rt.device.warp_allocations(),
